@@ -48,7 +48,7 @@ def _fraction(x, where):
         if isinstance(x, dict):
             return Fraction(int(x["num"]), int(x["den"]))
     except (ValueError, KeyError, ZeroDivisionError) as exc:
-        raise ParseError("bad rational %r: %s" % (x,), where)
+        raise ParseError("bad rational %r: %s" % (x, exc), where)
     raise ParseError("bad rational %r" % (x,), where)
 
 
@@ -207,19 +207,6 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _frac_str(x) -> str:
-    return str(Fraction(x))
-
-
-def _interval_json(iv) -> dict:
-    out = iv.to_json()
-    return out
-
-
-def _fdtc_result_json(res) -> dict:
-    return res.to_json()
-
-
 # -- subcommand implementations ---------------------------------------------
 
 
@@ -251,24 +238,24 @@ def run(problem: ProblemFile, args) -> Report:
                         {"word": name, "component": C})
         if args.action == "exact":
             res = fdtc_mod.fdtc_exact(w, C)
-            report.results.append(_fdtc_result_json(res))
+            report.results.append(res.to_json())
         elif args.action == "braid":
             res = fdtc_mod.braid_fdtc(w, C)
-            report.results.append(_fdtc_result_json(res))
+            report.results.append(res.to_json())
         elif args.action == "interval":
             for (i, iv) in enumerate(
                     fdtc_mod.translation_estimate(w, C, args.N)):
                 report.results.append({"N": i + 1,
-                                       "interval": _interval_json(iv)})
+                                       "interval": iv.to_json()})
         elif args.action == "audit":
             w2 = problem.word(_pick_word(problem, args.word2))
             audit = fdtc_mod.quasimorphism_audit(w, w2, C)
             report.inputs["word2"] = args.word2 or args.word
             report.results.append({
-                "c1": _frac_str(audit["c1"]),
-                "c2": _frac_str(audit["c2"]),
-                "c12": _frac_str(audit["c12"]),
-                "defect": _frac_str(audit["defect"]),
+                "c1": str(audit["c1"]),
+                "c2": str(audit["c2"]),
+                "c12": str(audit["c12"]),
+                "defect": str(audit["defect"]),
                 "defect_ok": audit["defect_ok"],
                 "conjugation_ok": audit["conjugation_ok"],
             })
@@ -317,7 +304,7 @@ def run(problem: ProblemFile, args) -> Report:
         tight = args.tight or problem.tight
         report = Report("classify", {
             "mode": a.mode, "nt_type": nt_type, "tight": tight,
-            "coefficients": {k: _frac_str(v)
+            "coefficients": {k: str(v)
                              for (k, v) in sorted(a.coefficients.items())},
         })
         verdicts = [top_mod.irreducibility_verdict(a),

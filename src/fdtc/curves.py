@@ -173,49 +173,104 @@ def tighten(c: NormalCoordinates) -> NormalCoordinates:
 # through side k, at local position q counted from the start corner of
 # side k (positions along a side run from its start corner to its end
 # corner in the triangle's counterclockwise traversal).  Entering through
-# side k, the chords near the start corner (q < n_start) cut across to
-# side k+2, the rest to side k+1; nesting around each corner reverses the
-# position order.
+# side k, the chords near the start corner (q < n_start, with n_start the
+# number of chords cutting that corner) cut across to side k+2, the rest
+# to side k+1; nesting around each corner reverses the position order.
+# A slot is a position counted along the edge's own direction instead.
+#
+# All stepping happens in two routines.  ``_walk`` follows one strand and
+# yields one passage (t, k_in, k_out, exit edge, exit slot) per triangle;
+# it stops after yielding an exit through a boundary edge.  ``_lockstep``
+# follows two strands that enter one triangle side together and returns
+# at their first divergence: +1 when the second strand leaves through the
+# k+1 side (the right flank), -1 when it leaves through the k+2 side, 0
+# when both leave through the same boundary edge.  The budget of either
+# is the number of triangle passages it may make; when it runs out,
+# ``_walk`` simply stops and ``_lockstep`` returns None, and the caller
+# decides whether that is an error.
+
+_NEXT = (1, 2, 0)
+_PREV = (2, 0, 1)
 
 
-def _local_from_slot(w: int, sign: int, slot: int) -> int:
-    return slot if sign == 1 else w - 1 - slot
+def _position(c: NormalCoordinates, t: int, k: int, slot: int) -> int:
+    """Local position on side k of triangle t of the crossing at ``slot``
+    of that side's edge."""
+    e, sign = c.tri.triangles[t][k]
+    return slot if sign == 1 else c.weights[e] - 1 - slot
 
 
-_slot_from_local = _local_from_slot  # the conversion is an involution
+def _gluing(tri: Triangulation):
+    """gluing[t][k] = (t2, k2, flip): side k of triangle t is glued to
+    side k2 of triangle t2, and flip tells whether the two sides run
+    along their edge in opposite directions (so that a local position q
+    becomes w - 1 - q); None on a boundary edge."""
+    if "gluing" not in tri._cache:
+        table = [[None] * 3 for _ in tri.triangles]
+        for e, incs in tri.incidences.items():
+            if len(incs) == 2:
+                (t1, k1), (t2, k2) = incs
+                flip = tri.triangles[t1][k1][1] != tri.triangles[t2][k2][1]
+                table[t1][k1] = (t2, k2, flip)
+                table[t2][k2] = (t1, k1, flip)
+        tri._cache["gluing"] = table
+    return tri._cache["gluing"]
 
 
-def _route(c: NormalCoordinates, t: int, k: int, q: int) -> tuple[int, int]:
-    """(exit slot index in 1..2 relative to k, exit local position)."""
-    tri = c.tri
-    sides = tri.triangles[t]
-    w0 = c.weights[sides[k][0]]
-    w1 = c.weights[sides[(k + 1) % 3][0]]
-    w2 = c.weights[sides[(k + 2) % 3][0]]
-    n_start = (w0 + w2 - w1) // 2
-    if q < n_start:
-        return 2, w2 - 1 - q
-    return 1, w0 - 1 - q
+def _walk(c: NormalCoordinates, t: int, k: int, q: int, budget: int):
+    w = c.weights
+    triangles = c.tri.triangles
+    gluing = _gluing(c.tri)
+    for _ in range(budget):
+        sides = triangles[t]
+        w0 = w[sides[k][0]]
+        if q < (w0 + w[sides[_PREV[k]][0]] - w[sides[_NEXT[k]][0]]) // 2:
+            k2 = _PREV[k]
+            q = w[sides[k2][0]] - 1 - q
+        else:
+            k2 = _NEXT[k]
+            q = w0 - 1 - q
+        e, sign = sides[k2]
+        yield t, k, k2, e, (q if sign == 1 else w[e] - 1 - q)
+        glued = gluing[t][k2]
+        if glued is None:
+            return
+        t, k, flip = glued
+        if flip:
+            q = w[e] - 1 - q
 
 
-def _enter(c: NormalCoordinates, e: int, slot: int, t: int, k: int):
-    sign = c.tri.triangles[t][k][1]
-    return (t, k, _local_from_slot(c.weights[e], sign, slot))
-
-
-def _step(c: NormalCoordinates, state):
-    """Advance one triangle.  Returns ('end', edge, slot) on a boundary
-    edge or ('go', edge, slot, next_state)."""
-    tri = c.tri
-    t, k, q = state
-    rel, local = _route(c, t, k, q)
-    k2 = (k + rel) % 3
-    e2, sign2 = tri.triangles[t][k2]
-    slot = _slot_from_local(c.weights[e2], sign2, local)
-    if tri.is_boundary_edge(e2):
-        return ("end", e2, slot)
-    t3, k3 = tri.other_incidence(e2, t, k2)
-    return ("go", e2, slot, _enter(c, e2, slot, t3, k3))
+def _lockstep(a: NormalCoordinates, b: NormalCoordinates, t: int, k: int,
+              qa: int, qb: int, budget: int):
+    wa, wb = a.weights, b.weights
+    triangles = a.tri.triangles
+    gluing = _gluing(a.tri)
+    for _ in range(budget):
+        sides = triangles[t]
+        e0 = sides[k][0]
+        e1 = sides[_NEXT[k]][0]
+        e2 = sides[_PREV[k]][0]
+        left_a = qa < (wa[e0] + wa[e2] - wa[e1]) // 2
+        left_b = qb < (wb[e0] + wb[e2] - wb[e1]) // 2
+        if left_a != left_b:
+            return -1 if left_b else 1
+        if left_a:
+            k2 = _PREV[k]
+            qa = wa[e2] - 1 - qa
+            qb = wb[e2] - 1 - qb
+        else:
+            k2 = _NEXT[k]
+            qa = wa[e0] - 1 - qa
+            qb = wb[e0] - 1 - qb
+        glued = gluing[t][k2]
+        if glued is None:
+            return 0
+        t, k, flip = glued
+        if flip:
+            e = sides[k2][0]
+            qa = wa[e] - 1 - qa
+            qb = wb[e] - 1 - qb
+    return None
 
 
 def trace_arc_strand(c: NormalCoordinates, e: int, slot: int):
@@ -228,16 +283,10 @@ def trace_arc_strand(c: NormalCoordinates, e: int, slot: int):
     if not tri.is_boundary_edge(e):
         raise CurveError("arc strands must start on a boundary edge")
     (t, k) = tri.incidences[e][0]
-    state = _enter(c, e, slot, t, k)
-    edges, slots = [], []
-    for _ in range(c.total_weight + 1):
-        res = _step(c, state)
-        edges.append(res[1])
-        slots.append(res[2])
-        if res[0] == "end":
-            return edges, slots
-        state = res[3]
-    raise ComputationError("strand trace exceeded the total weight budget")
+    passages = list(_walk(c, t, k, _position(c, t, k, slot), c.total_weight + 1))
+    if not tri.is_boundary_edge(passages[-1][3]):
+        raise ComputationError("strand trace exceeded the total weight budget")
+    return [p[3] for p in passages], [p[4] for p in passages]
 
 
 def trace_components(c: NormalCoordinates):
@@ -269,21 +318,17 @@ def trace_components(c: NormalCoordinates):
             if (e, slot) in visited:
                 continue
             (t, k) = tri.incidences[e][0]
-            state = _enter(c, e, slot, t, k)
+            q = _position(c, t, k, slot)
             edges, slots = [e], [slot]
-            guard = c.total_weight + 1
-            while True:
-                res = _step(c, state)
-                if res[0] == "end":
+            for (_t, _k, _k2, e2, slot2) in _walk(c, t, k, q, c.total_weight + 2):
+                if tri.is_boundary_edge(e2):
                     raise CurveError("open strand not anchored on the boundary")
-                if (res[1], res[2]) == (e, slot):
+                if (e2, slot2) == (e, slot):
                     break
-                edges.append(res[1])
-                slots.append(res[2])
-                state = res[3]
-                guard -= 1
-                if guard < 0:
-                    raise ComputationError("closed trace did not close up")
+                edges.append(e2)
+                slots.append(slot2)
+            else:
+                raise ComputationError("closed trace did not close up")
             visited.update(zip(edges, slots))
             comps.append({"type": "closed", "edges": edges, "slots": slots})
     return comps
@@ -385,40 +430,21 @@ def compare_at_base(g1: ArcClass, g2: ArcClass, C: str) -> Ordering:
     tri = g1.tri
     eps = tri.base_edge_of[C]
     (t0, k0) = tri.incidences[eps][0]
-    s1 = _enter(g1.coords, eps, g1.start[1], t0, k0)
-    s2 = _enter(g2.coords, eps, g2.start[1], t0, k0)
+    q1 = _position(g1.coords, t0, k0, g1.start[1])
+    q2 = _position(g2.coords, t0, k0, g2.start[1])
     cap = g1.coords.total_weight + g2.coords.total_weight + 2
-    for _ in range(cap):
-        rel1, loc1 = _route(g1.coords, *s1)
-        rel2, loc2 = _route(g2.coords, *s2)
-        if rel1 != rel2:
-            # exit via k+1 = right flank, k+2 = left flank
-            return Ordering.RIGHT_OF if rel2 == 1 else Ordering.LEFT_OF
-        t, k, _q = s1
-        k2 = (k + rel1) % 3
-        e2, sign2 = tri.triangles[t][k2]
-        if tri.is_boundary_edge(e2):
-            # identical crossing sequences: same weights and, unless the
-            # two arcs are the two orientations of one underlying arc,
-            # the same class.  The reversed-orientation tie is ordered by
-            # the start positions on the base edge.
-            if (g1.coords.weights, g1.start) == (g2.coords.weights, g2.start):
-                return Ordering.EQUAL
-            q1_0 = _local_from_slot(
-                g1.coords.weights[eps], tri.triangles[t0][k0][1], g1.start[1]
-            )
-            q2_0 = _local_from_slot(
-                g2.coords.weights[eps], tri.triangles[t0][k0][1], g2.start[1]
-            )
-            if q1_0 == q2_0:
-                return Ordering.EQUAL
-            return Ordering.RIGHT_OF if q2_0 > q1_0 else Ordering.LEFT_OF
-        slot1 = _slot_from_local(g1.coords.weights[e2], sign2, loc1)
-        slot2 = _slot_from_local(g2.coords.weights[e2], sign2, loc2)
-        t3, k3 = tri.other_incidence(e2, t, k2)
-        s1 = _enter(g1.coords, e2, slot1, t3, k3)
-        s2 = _enter(g2.coords, e2, slot2, t3, k3)
-    raise ComputationError("comparison exceeded the trace budget")
+    d = _lockstep(g1.coords, g2.coords, t0, k0, q1, q2, cap)
+    if d is None:
+        raise ComputationError("comparison exceeded the trace budget")
+    if d:
+        return Ordering.RIGHT_OF if d == 1 else Ordering.LEFT_OF
+    # identical crossing sequences: same weights and, unless the two arcs
+    # are the two orientations of one underlying arc, the same class.  The
+    # reversed-orientation tie is ordered by the start positions on the
+    # base edge.
+    if (g1.coords.weights, g1.start) == (g2.coords.weights, g2.start) or q1 == q2:
+        return Ordering.EQUAL
+    return Ordering.RIGHT_OF if q2 > q1 else Ordering.LEFT_OF
 
 
 # ---------------------------------------------------------------------------
@@ -627,30 +653,6 @@ def _twist_growth_intersection(x: NormalCoordinates, c: NormalCoordinates) -> in
     raise ComputationError("twist growth did not stabilize")
 
 
-def _run_order(a, sa, b, sb, tri, cap):
-    """Relative position forced on two strands entering the same triangle
-    side, decided by their first divergence ahead: +1 when strand b must
-    sit at the larger local position (nearer the end corner of the entry
-    side), -1 for a, 0 when they run parallel until termination or for
-    the whole budget (closed isotopic strands)."""
-    for _ in range(cap):
-        (t, k, _qa) = sa
-        rel_a, loc_a = _route(a, *sa)
-        rel_b, loc_b = _route(b, *sb)
-        if rel_a != rel_b:
-            return 1 if rel_b == 1 else -1
-        k2 = (k + rel_a) % 3
-        e2, sign2 = tri.triangles[t][k2]
-        if tri.is_boundary_edge(e2):
-            return 0
-        slot_a = _slot_from_local(a.weights[e2], sign2, loc_a)
-        slot_b = _slot_from_local(b.weights[e2], sign2, loc_b)
-        t3, k3 = tri.other_incidence(e2, t, k2)
-        sa = _enter(a, e2, slot_a, t3, k3)
-        sb = _enter(b, e2, slot_b, t3, k3)
-    return 0
-
-
 def _overlay_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
     """Crossing count of the taut joint realization of a and b.
 
@@ -658,35 +660,33 @@ def _overlay_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
     share a maximal parallel run; the run forces exactly one crossing
     when the divergences at its two ends pin the strands to opposite
     sides of each other, and none otherwise (a free end on the boundary
-    pins nothing).  Every conflicting run is seen exactly twice - once
-    from each end, where the divergence is immediate - so conflicts are
-    counted at immediate-divergence events and halved."""
+    pins nothing, so runs through boundary edges are skipped).  Every
+    conflicting run is seen exactly twice - once from each end, where the
+    divergence is immediate - so conflicts are counted at
+    immediate-divergence events and halved."""
     tri = a.tri
     cap = a.total_weight + b.total_weight + 2
     conflicts = 0
     for e in range(tri.edge_count):
-        if a.weights[e] == 0 or b.weights[e] == 0:
-            continue
         incs = tri.incidences[e]
+        if len(incs) == 1 or a.weights[e] == 0 or b.weights[e] == 0:
+            continue
         for i in range(a.weights[e]):
             for j in range(b.weights[e]):
                 for idx, (t, k) in enumerate(incs):
                     sign = tri.triangles[t][k][1]
-                    sa = _enter(a, e, i, t, k)
-                    sb = _enter(b, e, j, t, k)
-                    rel_a, _ = _route(a, *sa)
-                    rel_b, _ = _route(b, *sb)
-                    if rel_a == rel_b:
+                    d_here = _lockstep(a, b, t, k, _position(a, t, k, i),
+                                       _position(b, t, k, j), 1)
+                    if not d_here:
                         continue  # not an end of the run on this side
-                    d_here = (1 if rel_b == 1 else -1) * sign
-                    if len(incs) == 1:
-                        continue  # terminal end on the boundary, pins nothing
+                    # the far end: +1/-1 at a divergence, 0 when the run
+                    # ends on the boundary or never ends (closed isotopic
+                    # strands)
                     t2, k2 = incs[1 - idx]
                     sign2 = tri.triangles[t2][k2][1]
-                    sa2 = _enter(a, e, i, t2, k2)
-                    sb2 = _enter(b, e, j, t2, k2)
-                    d_there = _run_order(a, sa2, b, sb2, tri, cap) * sign2
-                    if d_here * d_there == -1:
+                    d_there = _lockstep(a, b, t2, k2, _position(a, t2, k2, i),
+                                        _position(b, t2, k2, j), cap) or 0
+                    if d_here * sign * d_there * sign2 == -1:
                         conflicts += 1
     if conflicts % 2 != 0:
         raise ComputationError("inconsistent overlay crossing parity")
@@ -710,20 +710,11 @@ def arc_passages(g: ArcClass):
     c = g.coords
     eps = tri.base_edge_of[g.start[0]]
     (t, k) = tri.incidences[eps][0]
-    state = _enter(c, eps, g.start[1], t, k)
-    out = []
-    for _ in range(c.total_weight + 1):
-        t, k, _q = state
-        rel, local = _route(c, *state)
-        k2 = (k + rel) % 3
-        out.append((t, k, k2))
-        e2, sign2 = tri.triangles[t][k2]
-        slot = _slot_from_local(c.weights[e2], sign2, local)
-        if tri.is_boundary_edge(e2):
-            return out
-        t3, k3 = tri.other_incidence(e2, t, k2)
-        state = _enter(c, e2, slot, t3, k3)
-    raise ComputationError("passage trace exceeded the weight budget")
+    q = _position(c, t, k, g.start[1])
+    passages = list(_walk(c, t, k, q, c.total_weight + 1))
+    if not tri.is_boundary_edge(passages[-1][3]):
+        raise ComputationError("passage trace exceeded the weight budget")
+    return [p[:3] for p in passages]
 
 
 def reduce_passages(tri: Triangulation, passages):

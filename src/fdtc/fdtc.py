@@ -13,7 +13,6 @@ coordinates, so results are exact.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -256,20 +255,13 @@ def _annulus_winding(w: MappingClassWord, C: str) -> FDTCResult:
                       M=int(interval.lo), D=1)
 
 
-def _max_n(default_n: int) -> int:
-    env = os.environ.get("FDTC_MAX_N")
-    if env:
-        return max(int(env), default_n)
-    return 64 * default_n
-
-
 def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
     """c(w, C) as an exact rational.
 
     Runs the bracketing at N = D(D-1)+1 so that the window contains a
-    single rational of admissible denominator; doubles N (up to the
-    FDTC_MAX_N environment override) in the ambiguous cases and returns
-    the bare interval when the budget runs out."""
+    single rational of admissible denominator; doubles N (up to 64 times
+    its starting value) in the ambiguous cases and returns the bare
+    interval when that budget runs out."""
     tri = w.tri
     if C not in tri.base_edge_of:
         raise WordError("unknown boundary label %r" % (C,))
@@ -290,7 +282,7 @@ def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
         return _annulus_winding(w, C)
     D = db.value
     N = D * (D - 1) + 1
-    n_cap = _max_n(N)
+    n_cap = 64 * N
     gamma = _first_probe_arc(tri, C)
     last_interval = None
     n = N

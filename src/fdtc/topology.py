@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil
 
 from .errors import InconsistentDataError, WordError
 from .foliation import BoundReport, ceiling_average_infimum

@@ -6,6 +6,12 @@ from fdtc.surface import SurfaceSpec, standard_triangulation
 TORUS_A = (0, 1, 0, 1, 1)
 TORUS_B = (1, 0, 0, 1, 0)
 
+# a 3-chain on the standard two-holed torus triangulation: a and c are
+# disjoint and each meets b once
+TWO_HOLED_A = (0, 1, 0, 0, 0, 1, 1, 0, 0, 0)
+TWO_HOLED_B = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+TWO_HOLED_C = (0, 1, 1, 0, 0, 1, 1, 2, 1, 1)
+
 
 @pytest.fixture(scope="session")
 def torus_tri():

@@ -94,6 +94,12 @@ class TestParseProblem:
         with pytest.raises(ParseError):
             parse_problem("{not json")
 
+    def test_bad_rational_named(self):
+        data = torus_problem()
+        data["assignment"]["coefficients"]["S"] = "1/0"
+        with pytest.raises(ParseError, match="bad rational '1/0'"):
+            parse_problem(json.dumps(data))
+
     def test_bad_nt_type(self):
         data = torus_problem()
         data["nt_type"] = "loxodromic"

@@ -8,6 +8,7 @@ from fdtc.curves import (
     ArcClass,
     NormalCoordinates,
     Ordering,
+    arc_passages,
     boundary_drag,
     boundary_parallel_curve,
     compare_at_base,
@@ -19,7 +20,22 @@ from fdtc.curves import (
     tighten,
     trace_components,
 )
-from conftest import TORUS_A, TORUS_B
+from conftest import (
+    TORUS_A,
+    TORUS_B,
+    TWO_HOLED_A,
+    TWO_HOLED_B,
+    TWO_HOLED_C,
+)
+
+# (triangulation fixture, boundary component) pairs the strand walker is
+# checked on
+WALKER_CASES = [
+    ("torus_tri", "S"),
+    ("two_holed_torus_tri", "C1"),
+    ("two_holed_torus_tri", "C2"),
+    ("disc3_tri", "C"),
+]
 
 
 class TestMatching:
@@ -86,6 +102,26 @@ class TestEnumerateArcs:
             assert g.start[0] == "C2"
 
 
+class TestArcPassages:
+    @pytest.mark.parametrize("fixture,C", WALKER_CASES)
+    def test_agrees_with_walk(self, fixture, C, request):
+        tri = request.getfixturevalue(fixture)
+        arcs = enumerate_arcs(tri, C, 6)
+        assert arcs
+        for g in arcs:
+            passages = arc_passages(g)
+            edges, _slots = g.walk()
+            assert len(passages) == len(edges)
+            entry = tri.incidences[tri.base_edge_of[C]][0]
+            for (t, k_in, k_out), e in zip(passages, edges):
+                assert (t, k_in) == entry
+                assert k_in != k_out
+                assert tri.triangles[t][k_out][0] == e
+                if not tri.is_boundary_edge(e):
+                    entry = tri.other_incidence(e, t, k_out)
+            assert tri.is_boundary_edge(edges[-1])
+
+
 class TestGeometricIntersection:
     def test_reference_pair(self, torus_tri):
         a = NormalCoordinates(torus_tri, TORUS_A)
@@ -101,6 +137,25 @@ class TestGeometricIntersection:
         a = NormalCoordinates(torus_tri, TORUS_A)
         bp = boundary_parallel_curve(torus_tri, "S")
         assert geometric_intersection(a, bp) == 0
+
+    def test_symmetric_on_two_holed_torus(self, two_holed_torus_tri):
+        tri = two_holed_torus_tri
+        a, b, c = TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C
+        ta = engine.twist_encoding(tri, a)
+        tb = engine.twist_encoding(tri, b)
+        weights = [a, b, c,
+                   boundary_parallel_curve(tri, "C1").weights,
+                   boundary_parallel_curve(tri, "C2").weights,
+                   ta.forward(b), tb.forward(tb.forward(c)), tb.forward(a)]
+        coords = [NormalCoordinates(tri, w) for w in weights]
+        for x in coords:
+            for y in coords:
+                assert geometric_intersection(x, y) == \
+                    geometric_intersection(y, x)
+        ca, cb, cc = coords[:3]
+        assert geometric_intersection(ca, cb) == 1
+        assert geometric_intersection(cb, cc) == 1
+        assert geometric_intersection(ca, cc) == 0
 
     def test_twist_images(self, torus_tri):
         # i(T_b^k a, a) grows linearly: |k| * i(a,b)^2
@@ -118,18 +173,19 @@ class TestCompareAtBase:
         g = enumerate_arcs(torus_tri, "S", 5)[0]
         assert compare_at_base(g, g, "S") is Ordering.EQUAL
 
-    def test_antisymmetric(self, torus_tri):
-        arcs = enumerate_arcs(torus_tri, "S", 5)
+    def test_antisymmetric(self, request):
         flips = {Ordering.RIGHT_OF: Ordering.LEFT_OF,
                  Ordering.LEFT_OF: Ordering.RIGHT_OF,
                  Ordering.EQUAL: Ordering.EQUAL}
-        seen_strict = False
-        for g1 in arcs[:6]:
-            for g2 in arcs[:6]:
-                o = compare_at_base(g1, g2, "S")
-                assert compare_at_base(g2, g1, "S") is flips[o]
-                seen_strict = seen_strict or o is not Ordering.EQUAL
-        assert seen_strict
+        for fixture, C in WALKER_CASES:
+            arcs = enumerate_arcs(request.getfixturevalue(fixture), C, 7)
+            seen_strict = False
+            for g1 in arcs[:6]:
+                for g2 in arcs[:6]:
+                    o = compare_at_base(g1, g2, C)
+                    assert compare_at_base(g2, g1, C) is flips[o]
+                    seen_strict = seen_strict or o is not Ordering.EQUAL
+            assert seen_strict, (fixture, C)
 
 
 class TestBoundaryDrag:
