@@ -43,10 +43,10 @@ def _fraction(x, where):
     try:
         if isinstance(x, str):
             return Fraction(x)
-        if isinstance(x, int):
+        if type(x) is int:  # not bool
             return Fraction(x)
-        if isinstance(x, dict):
-            return Fraction(int(x["num"]), int(x["den"]))
+        if isinstance(x, dict) and type(x["num"]) is type(x["den"]) is int:
+            return Fraction(x["num"], x["den"])
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise ParseError("bad rational %r: %s" % (x, exc), where)
     raise ParseError("bad rational %r" % (x,), where)
@@ -134,8 +134,9 @@ def parse_problem(source) -> ProblemFile:
             raise ParseError("word %r must be a list" % (name,),
                              "words.%s" % name)
         for item in gens:
-            if "twist" in item and item["twist"] not in curves:
-                raise ParseError("unresolved curve %r" % (item["twist"],),
+            twist = item.get("twist") if isinstance(item, dict) else None
+            if isinstance(twist, str) and twist not in curves:
+                raise ParseError("unresolved curve %r" % (twist,),
                                  "words.%s" % name)
         words[name] = gens
 

@@ -4,22 +4,28 @@ A flip replaces the diagonal of the square formed by the two triangles
 adjacent to an interior edge.  On normal coordinates it acts by the
 max-plus rule w'(e) = max(w_a + w_c, w_b + w_d) - w(e) where a, b, c, d
 are the square's sides in cyclic order; all other weights are untouched.
-The rule only mentions edge ids, so a flip recorded once can later be
-replayed on any weight vector, and the same formula undoes itself.
+The rule only mentions edge ids, so a flip recorded once as the tuple
+(e, a, b, c, d) can later be replayed on any weight vector, and the same
+formula undoes itself.
 
-A Dehn twist along a simple closed curve is compiled into such a replay
-script: flip until the curve crosses just two edges once each (so a
-square of two triangles forms its annular neighbourhood), do the twist
-there as one flip plus an edge relabelling that restores the
-triangulation, then undo the preparatory flips.  Applying the script is
-pure big-integer arithmetic, which is what makes high twist powers on
-huge coordinates affordable.
+An ``Encoding`` is the one compiled form of a mapping class: flips
+replayed in place on one list of weights, then one renaming of the
+edges.  Composition, inversion and powers push every renaming to the end
+by renaming the edge ids of the flips behind it; the copies in a power
+that are renamed alike share one block of flips.
+
+A Dehn twist along a simple closed curve is compiled into such a script:
+flip until the curve crosses just two edges once each (so a square of
+two triangles forms its annular neighbourhood), do the twist there as
+one flip plus an edge renaming that restores the triangulation, then
+undo the preparatory flips.  Applying the script is pure big-integer
+arithmetic, which is what makes high twist powers on huge coordinates
+affordable.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .errors import TriangulationError, ComputationError, CurveError
 from .surface import Triangulation
@@ -28,77 +34,98 @@ from . import curves as _curves
 _SEARCH_CAP = 20000  # states explored when shortening a curve
 
 
-@dataclass(frozen=True)
-class FlipStep:
-    """Weight transport across one flip of edge e with square sides
-    a, b, c, d.  Self-inverse."""
-
-    e: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def apply(self, w):
-        out = list(w)
-        out[self.e] = max(w[self.a] + w[self.c], w[self.b] + w[self.d]) - w[self.e]
-        if out[self.e] < 0:
-            raise ComputationError("flip produced a negative weight")
-        return tuple(out)
-
-    def inverted(self) -> "FlipStep":
-        return self
+def _renaming(perm):
+    """perm (perm[old] = new) as a tuple, or None if it renames nothing."""
+    if perm is None or all(i == new for i, new in enumerate(perm)):
+        return None
+    return tuple(perm)
 
 
-@dataclass(frozen=True)
-class RelabelStep:
-    """Edge renaming; perm[old] = new."""
+def _inverse(perm):
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
-    perm: tuple
 
-    def apply(self, w):
-        out = [0] * len(w)
-        for old, new in enumerate(self.perm):
-            out[new] = w[old]
-        return tuple(out)
+def _then(p, q):
+    """The renaming p followed by q."""
+    if p is None or q is None:
+        return p or q
+    return _renaming([q[new] for new in p])
 
-    def inverted(self) -> "RelabelStep":
-        inv = [0] * len(self.perm)
-        for old, new in enumerate(self.perm):
-            inv[new] = old
-        return RelabelStep(tuple(inv))
+
+def _read_through(steps, table):
+    """The flips with every edge id x replaced by table[x]."""
+    return tuple((table[e], table[a], table[b], table[c], table[d])
+                 for e, a, b, c, d in steps)
 
 
 class Encoding:
-    """A replayable sequence of coordinate transport steps."""
+    """A replayable mapping class on edge weights: the flips ``steps``,
+    each an (e, a, b, c, d) tuple, then the edge renaming ``perm``."""
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "perm")
 
-    def __init__(self, steps):
+    def __init__(self, steps, perm=None):
         self.steps = tuple(steps)
+        self.perm = _renaming(perm)
 
     def forward(self, w):
-        for s in self.steps:
-            w = s.apply(w)
-        return w
-
-    def backward(self, w):
-        for s in reversed(self.steps):
-            w = s.inverted().apply(w)
-        return w
+        w = list(w)
+        for e, a, b, c, d in self.steps:
+            x = max(w[a] + w[c], w[b] + w[d]) - w[e]
+            if x < 0:
+                raise ComputationError("flip produced a negative weight")
+            w[e] = x
+        if self.perm is not None:
+            w = [w[old] for old in _inverse(self.perm)]
+        return tuple(w)
 
     def inverted(self) -> "Encoding":
-        return Encoding([s.inverted() for s in reversed(self.steps)])
+        # the renaming is undone first, so the reversed flips read through it
+        if self.perm is None:
+            return Encoding(self.steps[::-1])
+        return Encoding(_read_through(self.steps[::-1], self.perm),
+                        _inverse(self.perm))
 
     def __add__(self, other: "Encoding") -> "Encoding":
-        return Encoding(self.steps + other.steps)
+        """self, then other."""
+        if self.perm is None:
+            return Encoding(self.steps + other.steps, other.perm)
+        steps = _read_through(other.steps, _inverse(self.perm))
+        return Encoding(self.steps + steps, _then(self.perm, other.perm))
 
-    def is_trivial(self) -> bool:
-        return not self.steps
+    def power(self, k: int) -> "Encoding":
+        """self repeated k times (the inverse repeated -k times if k < 0).
+
+        Copy j runs after j renamings, so its flips are read through
+        perm^-j; the copies with the same power of perm share one block."""
+        if k <= 0:
+            return self.inverted().power(-k) if k else Encoding(())
+        shifts = [None]  # perm^j for j = 0, 1, ... up to k or perm's period
+        while len(shifts) <= k and (
+                nxt := _then(shifts[-1], self.perm)) is not None:
+            shifts.append(nxt)
+        cycle = self.steps + tuple(f for p in shifts[1:k] for f in
+                                   _read_through(self.steps, _inverse(p)))
+        whole, part = divmod(k, min(k, len(shifts)))
+        steps = cycle * whole + cycle[:part * len(self.steps)]
+        return Encoding(steps, shifts[k % len(shifts)])
+
+
+def _flip_blocks(step, v, m):
+    """The flip replayed on each length-m block of the stacked vector v,
+    or None if it produces a negative weight."""
+    e, a, b, c, d = step
+    out = list(v)
+    for j in range(0, len(v), m):
+        x = max(v[j + a] + v[j + c], v[j + b] + v[j + d]) - v[j + e]
+        if x < 0:
+            return None
+        out[j + e] = x
+    return tuple(out)
 
 
 def flip(tri: Triangulation, e: int):
-    """Flip interior edge e.  Returns (new triangulation, FlipStep)."""
+    """Flip interior edge e.  Returns (new triangulation, (e, a, b, c, d))."""
     if tri.is_boundary_edge(e):
         raise TriangulationError("cannot flip boundary edge %d" % e)
     incs = tri.incidences[e]
@@ -123,7 +150,7 @@ def flip(tri: Triangulation, e: int):
     new_tri = Triangulation(
         tri.surface, new_triangles, tri.boundary_label_of_edge, tri.base_edge_of
     )
-    return new_tri, FlipStep(e, a[0], b[0], c[0], d[0])
+    return new_tri, (e, a[0], b[0], c[0], d[0])
 
 
 def relabel(tri: Triangulation, perm, reversed_edges=()) -> Triangulation:
@@ -166,8 +193,7 @@ def shorten_curve(tri: Triangulation, weights):
         total, _c, cur, w, path = heapq.heappop(heap)
         explored += 1
         if total == 2:
-            short = Encoding(path)
-            return short, cur, w
+            return Encoding(path), cur, w
         for e in range(cur.edge_count):
             if cur.is_boundary_edge(e):
                 continue
@@ -175,9 +201,8 @@ def shorten_curve(tri: Triangulation, weights):
                 nt, step = flip(cur, e)
             except TriangulationError:
                 continue
-            try:
-                nw = step.apply(w)
-            except ComputationError:
+            nw = _flip_blocks(step, w, len(w))
+            if nw is None:
                 continue
             key = (_canonical_key(nt), nw)
             if key in seen:
@@ -246,7 +271,7 @@ def _core_twist(short_tri: Triangulation, short_w):
             for rev in ((), (e1,), (e2,), (e1, e2)):
                 cand = relabel(flipped, perm, rev)
                 if cand.same_structure(short_tri):
-                    core = Encoding([step, RelabelStep(tuple(perm))])
+                    core = Encoding([step], perm)
                     if core.forward(tuple(short_w)) != tuple(short_w):
                         raise ComputationError(
                             "annular twist moved its own core curve"
@@ -328,21 +353,16 @@ def encoding_from_probe_images(tri: Triangulation, probes, images,
     stacked0 = tuple(t for p in probes for t in p)
     stacked = tuple(t for im in images for t in im)
     target = sum(stacked0)
-    n = len(probes)
     m = tri.edge_count
-
-    def split(v):
-        return [v[i * m:(i + 1) * m] for i in range(n)]
 
     def goal(cur, v):
         if sum(v) != target:
             return None
         perm = derive_relabel_to(cur, tri)
-        if perm is None:
-            return None
-        step = RelabelStep(perm)
-        if all(step.apply(part) == probes[i] for i, part in enumerate(split(v))):
-            return step
+        if perm is not None and all(
+                v[j + old] == stacked0[j + new]
+                for j in range(0, len(v), m) for old, new in enumerate(perm)):
+            return perm
         return None
 
     counter = 0
@@ -352,11 +372,10 @@ def encoding_from_probe_images(tri: Triangulation, probes, images,
     while heap and explored < cap:
         total, _c, cur, v, path = heapq.heappop(heap)
         explored += 1
-        step = goal(cur, v)
-        if step is not None:
-            # path + step maps w(phi(gamma)) back to w(gamma); invert it
-            back = Encoding(path + (step,))
-            return back.inverted()
+        perm = goal(cur, v)
+        if perm is not None:
+            # path then perm maps w(phi(gamma)) back to w(gamma); invert it
+            return Encoding(path, perm).inverted()
         for e in range(cur.edge_count):
             if cur.is_boundary_edge(e):
                 continue
@@ -364,14 +383,8 @@ def encoding_from_probe_images(tri: Triangulation, probes, images,
                 nt, fs = flip(cur, e)
             except TriangulationError:
                 continue
-            try:
-                nv = []
-                for i in range(n):
-                    nv.extend(fs.apply(v[i * m:(i + 1) * m]))
-            except ComputationError:
-                continue
-            nv = tuple(nv)
-            if sum(nv) > total:
+            nv = _flip_blocks(fs, v, m)
+            if nv is None or sum(nv) > total:
                 continue
             key = (_canonical_key(nt), nv)
             if key in seen:
@@ -432,13 +445,7 @@ def boundary_twist_encoding(tri: Triangulation, label: str,
                 "collar drag on held-out arcs"
             )
         cache[label] = core
-    core = cache[label]
-    if power < 0:
-        core = core.inverted()
-    steps = []
-    for _ in range(abs(power)):
-        steps.extend(core.steps)
-    return Encoding(steps)
+    return cache[label].power(power)
 
 
 def puncture_order(tri: Triangulation):
@@ -487,13 +494,7 @@ def half_twist_encoding(tri: Triangulation, i: int, power: int = 1) -> Encoding:
     cache = tri._cache.setdefault("half_twist_encodings", {})
     if i not in cache:
         cache[i] = _derive_half_twist(tri, i)
-    core = cache[i]
-    if power < 0:
-        core = core.inverted()
-    steps = []
-    for _ in range(abs(power)):
-        steps.extend(core.steps)
-    return Encoding(steps)
+    return cache[i].power(power)
 
 
 def _derive_half_twist(tri: Triangulation, i: int, cap: int = 50000) -> Encoding:
@@ -509,11 +510,8 @@ def _derive_half_twist(tri: Triangulation, i: int, cap: int = 50000) -> Encoding
     timgs = [twist.forward(w) for w in pw]
 
     def is_half_twist(enc):
-        if enc.forward(cw) != cw:
-            return False
-        return all(
-            enc.forward(enc.forward(w)) == tw for w, tw in zip(pw, timgs)
-        )
+        return enc.forward(cw) == cw and all(
+            enc.forward(enc.forward(w)) == tw for w, tw in zip(pw, timgs))
 
     stack0 = cw + tuple(t for w in pw for t in w)
     queue = deque([(tri, stack0, (), frozenset((chain_edge,)))])
@@ -525,7 +523,7 @@ def _derive_half_twist(tri: Triangulation, i: int, cap: int = 50000) -> Encoding
         if path:
             perm = derive_relabel_to(cur, tri)
             if perm is not None:
-                cand = Encoding(path + (RelabelStep(perm),))
+                cand = Encoding(path, perm)
                 for enc in (cand, cand.inverted()):
                     if is_half_twist(enc):
                         return enc
@@ -542,13 +540,9 @@ def _derive_half_twist(tri: Triangulation, i: int, cap: int = 50000) -> Encoding
                 nt, fs = flip(cur, e)
             except TriangulationError:
                 continue
-            try:
-                ns = []
-                for j in range(0, len(stack), n):
-                    ns.extend(fs.apply(stack[j:j + n]))
-            except ComputationError:
+            ns = _flip_blocks(fs, stack, n)
+            if ns is None:
                 continue
-            ns = tuple(ns)
             key = (_canonical_key(nt), ns)
             if key in seen:
                 continue
@@ -570,10 +564,8 @@ def twist_encoding(tri: Triangulation, curve_weights, power: int = 1) -> Encodin
     coords = _curves.NormalCoordinates(tri, w)
     if not _curves.is_matching(coords):
         raise CurveError("curve weights violate the matching conditions")
-    if _curves.is_puncture_parallel(coords):
-        return Encoding([])
-    if power == 0:
-        return Encoding([])
+    if _curves.is_puncture_parallel(coords) or power == 0:
+        return Encoding(())
     if len(tri.base_edge_of) == 1:
         # with a single boundary component and no punctures every vertex
         # lies on the collar side of the boundary-parallel curve, which
@@ -591,16 +583,7 @@ def twist_encoding(tri: Triangulation, curve_weights, power: int = 1) -> Encodin
             raise CurveError("twist curves must be single closed curves")
         conj, short_tri, short_w = shorten_curve(tri, w)
         core = _core_twist(short_tri, short_w)
-        full = Encoding(
-            list(conj.steps) + list(core.steps) + list(conj.inverted().steps)
-        )
-        if _twist_handedness(tri, full) < 0:
+        if _twist_handedness(tri, conj + core + conj.inverted()) < 0:
             core = core.inverted()
         cache[w] = (core, conj)
-    if power < 0:
-        core = core.inverted()
-    steps = list(conj.steps)
-    for _ in range(abs(power)):
-        steps.extend(core.steps)
-    steps.extend(conj.inverted().steps)
-    return Encoding(steps)
+    return conj + core.power(power) + conj.inverted()

@@ -138,7 +138,9 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
         raise CurveError("probe arc must start on %r" % (C,))
     if not curves.is_essential(gamma):
         raise CurveError("Key Lemma requires essential arc")
-    phi_arc = w.power(N).apply_arc(gamma)
+    phi_arc = gamma
+    for _ in range(N):
+        phi_arc = w.apply_arc(phi_arc)
     half = 2 * N * max(len(w), 1) + 2
     lo, hi = -half, half
     if _ge(tri, C, gamma, phi_arc, lo) == "lt":

@@ -99,7 +99,7 @@ class MappingClassWord:
             if g.curve is None or len(g.curve) != tri.edge_count:
                 raise WordError("twist curve does not live on this triangulation")
         elif g.kind == "boundary":
-            if g.label not in tri.base_edge_of:
+            if not isinstance(g.label, str) or g.label not in tri.base_edge_of:
                 raise WordError("unknown boundary label %r" % (g.label,))
         elif g.kind == "braid":
             n = tri.surface.puncture_count
@@ -140,10 +140,8 @@ class MappingClassWord:
 
     def encoding(self) -> engine.Encoding:
         if self._encoding is None:
-            steps = []
-            for g in reversed(self.generators):
-                steps.extend(self._generator_encoding(g).steps)
-            self._encoding = engine.Encoding(steps)
+            letters = map(self._generator_encoding, reversed(self.generators))
+            self._encoding = sum(letters, engine.Encoding(()))
         return self._encoding
 
     def _generator_encoding(self, g: Generator) -> engine.Encoding:
@@ -187,22 +185,35 @@ class MappingClassWord:
     def from_json(tri: Triangulation, data, named_curves=None) -> "MappingClassWord":
         gens = []
         for item in data:
-            power = int(item.get("power", 1))
+            if not isinstance(item, dict):
+                raise WordError("generator record %r is not an object" % (item,))
+            power = _integer(item.get("power", 1), "power")
             if "curve" in item:
-                gens.append(Generator.twist(item["curve"], power))
+                curve = item["curve"]
+                if not isinstance(curve, (list, tuple)):
+                    raise WordError("curve must be a list, not %r" % (curve,))
+                gens.append(Generator.twist(
+                    [_integer(x, "curve weight") for x in curve], power))
             elif "twist" in item:
                 table = named_curves or {}
                 name = item["twist"]
-                if name not in table:
+                if not isinstance(name, str) or name not in table:
                     raise WordError("unknown named curve %r" % (name,))
                 gens.append(Generator.twist(table[name], power))
             elif "boundary" in item:
                 gens.append(Generator.boundary(item["boundary"], power))
             elif "braid" in item:
-                gens.append(Generator.braid(int(item["braid"]), power))
+                index = _integer(item["braid"], "braid")
+                gens.append(Generator.braid(index, power))
             else:
                 raise WordError("unrecognised generator record %r" % (item,))
         return MappingClassWord(tri, gens)
+
+
+def _integer(x, what: str) -> int:
+    if type(x) is not int:  # bool is not an integer here
+        raise WordError("%s must be an integer, not %r" % (what, x))
+    return x
 
 
 def identity_word(tri: Triangulation) -> MappingClassWord:

@@ -100,6 +100,35 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="bad rational '1/0'"):
             parse_problem(json.dumps(data))
 
+    @pytest.mark.parametrize("bad", [
+        {"num": 1.5, "den": 2},
+        {"num": "3", "den": 2.9},
+        True,
+    ])
+    def test_rational_parts_must_be_integers(self, bad):
+        data = torus_problem()
+        data["assignment"]["coefficients"]["S"] = bad
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_problem(json.dumps(data))
+
+    @pytest.mark.parametrize("item", [
+        3,
+        "twist",
+        {"twist": "a", "power": 1.5},
+        {"twist": "a", "power": True},
+        {"twist": "a", "power": "2"},
+        {"boundary": "S", "power": None},
+        {"braid": 1.0},
+        {"curve": 5},
+        {"curve": list(TORUS_A[:-1]) + ["1"]},
+        {"twist": ["a"]},
+    ])
+    def test_bad_word_record_named(self, item):
+        data = torus_problem()
+        data["words"]["phi"] = [{"twist": "b"}, item]
+        with pytest.raises(ParseError, match="bad word 'phi'"):
+            parse_problem(json.dumps(data))
+
     def test_bad_nt_type(self):
         data = torus_problem()
         data["nt_type"] = "loxodromic"
@@ -182,6 +211,15 @@ class TestMain:
         }))
         assert main(["fdtc", "exact", str(path)]) == EXIT_COMPUTATION
         assert main(["fdtc", "braid", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("item", [3, {"twist": "a", "power": 1.5}])
+    def test_bad_word_record_exit(self, tmp_path, capsys, item):
+        data = torus_problem()
+        data["words"]["phi"] = [item]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["fdtc", "exact", str(path), "--word", "phi"]) == EXIT_PARSE
+        assert "bad word 'phi'" in capsys.readouterr().err
 
     def test_unknown_component(self, torus_file):
         assert main(["fdtc", "exact", torus_file, "--word", "phi",

@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdtc.errors import ComputationError, CurveError
 from fdtc import curves, engine
+from fdtc.fdtc import key_lemma_interval
+from fdtc.mcg import Generator, MappingClassWord
 from fdtc.curves import (
     NormalCoordinates,
     boundary_drag,
@@ -11,7 +15,9 @@ from fdtc.curves import (
     enumerate_arcs,
     is_matching,
 )
-from conftest import TORUS_A, TORUS_B
+from conftest import (
+    TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C,
+)
 
 
 def _probe_weights(tri, bound=6):
@@ -34,15 +40,16 @@ class TestFlips:
         probes = [TORUS_A, TORUS_B] + _probe_weights(torus_tri, 6)
         for e in interior:
             _, step = engine.flip(torus_tri, e)
+            once = engine.Encoding([step])
             for w in probes:
-                assert step.apply(step.apply(w)) == tuple(w)
+                assert once.forward(once.forward(w)) == tuple(w)
 
     def test_flip_preserves_matching(self, torus_tri):
         interior = [e for e in range(torus_tri.edge_count)
                     if not torus_tri.is_boundary_edge(e)]
         for e in interior:
             tri2, step = engine.flip(torus_tri, e)
-            img = step.apply(TORUS_A)
+            img = engine.Encoding([step]).forward(TORUS_A)
             assert is_matching(NormalCoordinates(tri2, img))
 
     def test_flip_boundary_edge_rejected(self, torus_tri):
@@ -158,4 +165,115 @@ class TestShortenCurve:
 
     def test_roundtrip(self, torus_tri):
         conj, tri2, w2 = engine.shorten_curve(torus_tri, TORUS_B)
-        assert conj.backward(w2) == TORUS_B
+        assert conj.inverted().forward(w2) == TORUS_B
+
+
+def _letters(tri, fixture):
+    """Single-letter encodings to the powers +-1: twists along the
+    surface's reference curves and around every boundary, and half
+    twists on punctured discs."""
+    curves_ = SURFACES[fixture] + tuple(
+        boundary_parallel_curve(tri, lab).weights
+        for lab in sorted(tri.base_edge_of))
+    out = [engine.twist_encoding(tri, c, p) for c in curves_ for p in (1, -1)]
+    for i in range(1, tri.surface.puncture_count):
+        out += [engine.half_twist_encoding(tri, i, p) for p in (1, -1)]
+    return out
+
+
+def _period(perm):
+    p, k = perm, 1
+    while p is not None:
+        p, k = (engine.Encoding((), p) + engine.Encoding((), perm)).perm, k + 1
+    return k
+
+
+def _replay(enc, k, w):
+    step = enc if k >= 0 else enc.inverted()
+    for _ in range(abs(k)):
+        w = step.forward(w)
+    return w
+
+
+# fixture name -> reference twist curves on it
+SURFACES = {
+    "torus_tri": (TORUS_A, TORUS_B),
+    "two_holed_torus_tri": (TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C),
+    "disc3_tri": (),
+}
+
+
+class TestEncodingAlgebra:
+    """Composition, inversion and powers push renamings to the end; each
+    must agree with replaying its parts one after another."""
+
+    @pytest.mark.parametrize("fixture", SURFACES)
+    def test_letter_powers(self, fixture, request):
+        tri = request.getfixturevalue(fixture)
+        probes = _probe_weights(tri, 7)
+        assert len(probes) >= 8
+        renamed = [e for e in _letters(tri, fixture) if e.perm is not None]
+        # some letters rename edges, with a period that k = 7 goes past
+        assert renamed and min(_period(e.perm) for e in renamed) < 7
+        for enc in renamed:
+            for k in range(-7, 8):
+                pk = enc.power(k)
+                assert all(pk.forward(w) == _replay(enc, k, w)
+                           for w in probes)
+
+    @pytest.mark.parametrize("fixture", SURFACES)
+    def test_words(self, fixture, request):
+        tri = request.getfixturevalue(fixture)
+        letters = _letters(tri, fixture)
+        probes = _probe_weights(tri, 7)
+        word = st.lists(st.sampled_from(range(len(letters))), max_size=4)
+
+        def encoding(ids):
+            return sum((letters[i] for i in ids), engine.Encoding(()))
+
+        @settings(max_examples=200, deadline=None)
+        @given(word, word, st.integers(-7, 7), st.sampled_from(probes))
+        def check(ids1, ids2, k, w):
+            e1, e2 = encoding(ids1), encoding(ids2)
+            assert (e1 + e2).forward(w) == e2.forward(e1.forward(w))
+            assert e1.inverted().forward(e1.forward(w)) == w
+            assert e1.forward(e1.inverted().forward(w)) == w
+            assert e1.power(k).forward(w) == _replay(e1, k, w)
+
+        check()
+
+
+class TestKeyLemmaReplay:
+    """key_lemma_interval replays w N times; the reference route compiles
+    w^N as one word.  Both images bracket the same interval."""
+
+    @pytest.mark.parametrize("fixture,gens,C", [
+        ("torus_tri", [Generator.twist(TORUS_A), Generator.twist(TORUS_B)],
+         "S"),
+        ("torus_tri", [Generator.twist(TORUS_B, -1), Generator.boundary("S"),
+                       Generator.twist(TORUS_A, 2)], "S"),
+        ("two_holed_torus_tri", [Generator.twist(TWO_HOLED_A),
+                                 Generator.twist(TWO_HOLED_B),
+                                 Generator.twist(TWO_HOLED_C)], "C1"),
+        ("disc3_tri", [Generator.braid(1), Generator.braid(2)] * 3, "C"),
+    ])
+    def test_matches_compiled_power(self, fixture, gens, C, request):
+        tri = request.getfixturevalue(fixture)
+        w = MappingClassWord(tri, gens)
+        gamma = enumerate_arcs(tri, C, 8)[0]
+        for N in (1, 2, 5, 13):
+            ref = w.power(N).apply_arc(gamma)
+            iv = key_lemma_interval(w, C, gamma, N)
+
+            def rel(m):
+                tm = MappingClassWord(tri, [Generator.boundary(C, m)])
+                return curves.compare_at_base(tm.apply_arc(gamma), ref, C)
+
+            M = iv.lo * N
+            assert M.denominator == 1
+            if iv.is_point:
+                assert rel(int(M)) is curves.Ordering.EQUAL
+            else:
+                assert iv.hi == iv.lo + Fraction(1, N)
+                assert rel(int(M)) is curves.Ordering.RIGHT_OF
+                assert rel(int(M) + 1) is curves.Ordering.LEFT_OF

@@ -150,3 +150,11 @@ class TestJson:
         assert w.generators[0].curve == TORUS_A
         with pytest.raises(WordError):
             MappingClassWord.from_json(torus_tri, [{"twist": "z"}], {})
+
+    @pytest.mark.parametrize("item", [
+        {"braid": 1.0}, {"braid": True}, {"braid": "1"},
+        {"braid": 1, "power": 0.5}, {"braid": 1, "power": False},
+    ])
+    def test_integer_fields(self, disc2_tri, item):
+        with pytest.raises(WordError, match="must be an integer"):
+            MappingClassWord.from_json(disc2_tri, [item])
