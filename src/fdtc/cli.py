@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .errors import FdtcError, FoliationError, InconsistentDataError, WordError
 from .surface import SurfaceSpec, standard_triangulation, denominator_bound
-from . import curves as curves_mod
-from .mcg import MappingClassWord
+from .mcg import MappingClassWord, checked_curve
 from . import fdtc as fdtc_mod
 from . import foliation as fol_mod
 from . import topology as top_mod
@@ -113,20 +112,11 @@ def parse_problem(source) -> ProblemFile:
     tri = standard_triangulation(spec)
     curves = {}
     for (name, weights) in data.get("curves", {}).items():
-        if (not isinstance(weights, list)
-                or len(weights) != tri.edge_count
-                or not all(isinstance(w, int) and w >= 0 for w in weights)):
-            raise ParseError("unresolved or malformed curve %r" % (name,),
-                             "curves.%s" % name)
         try:
-            c = curves_mod.NormalCoordinates(tri, tuple(weights))
-            if not curves_mod.is_matching(c):
-                raise ParseError("curve %r violates the matching conditions"
-                                 % (name,), "curves.%s" % name)
-        except FdtcError as exc:
+            curves[name] = checked_curve(tri, weights)
+        except WordError as exc:
             raise ParseError("bad curve %r: %s" % (name, exc),
                              "curves.%s" % name)
-        curves[name] = tuple(weights)
 
     words = {}
     for (name, gens) in data.get("words", {}).items():

@@ -23,12 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import enum
+from itertools import cycle
 
 from .errors import CurveError, MatchingError, ComputationError
 from .surface import Triangulation
 
 # overlays materialize individual strands; refuse above this many slots
 OVERLAY_LIMIT = 200_000
+# an overlay runs one lockstep per pair of crossings sharing an edge, a
+# few microseconds each; above this many pairs it is not attempted
+OVERLAY_PAIR_LIMIT = 50_000
 
 
 class Ordering(enum.Enum):
@@ -603,27 +607,36 @@ def enumerate_arcs(tri: Triangulation, C: str, weight_bound: int) -> list[ArcCla
 
 def geometric_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
     """Minimal geometric intersection number i(a, b); exact and
-    symmetric.  Desk-scale pairs are overlaid strand by strand; when one
-    side has huge coordinates the other must decompose into closed
-    non-puncture-parallel curves, whose intersection with the big side is
-    read off from the stabilized growth rate under twisting."""
+    symmetric.  Pairs with at most OVERLAY_PAIR_LIMIT pairs of crossings
+    on shared interior edges are overlaid strand by strand; above that
+    the lighter side must decompose into closed non-puncture-parallel
+    curves, whose intersection with the other side is read off from the
+    stabilized growth rate under twisting."""
     if a.tri is not b.tri:
         raise CurveError("coordinates live on different triangulations")
     if a.weights == b.weights:
         return 0
-    if a.total_weight + b.total_weight <= OVERLAY_LIMIT:
+    tri = a.tri
+    pairs = sum(x * y for e, (x, y) in enumerate(zip(a.weights, b.weights))
+                if len(tri.incidences[e]) == 2)
+    if pairs <= OVERLAY_PAIR_LIMIT:
         return _overlay_intersection(a, b)
+    over = "%d crossing pairs exceed the overlay cap of %d" % (
+        pairs, OVERLAY_PAIR_LIMIT)
     small, big = (a, b) if a.total_weight <= b.total_weight else (b, a)
+    if small.total_weight > OVERLAY_LIMIT:
+        raise ComputationError("%s, and neither side can be decomposed" % over)
     total = 0
     for comp in trace_components(small):
         if comp["type"] != "closed":
             raise ComputationError(
-                "intersection with huge coordinates needs a closed-curve side"
+                "%s, and the twist route needs a closed-curve side" % over
             )
         cw = coords_from_crossings(small.tri, comp["edges"])
         if is_puncture_parallel(cw):
             raise ComputationError(
-                "twist-based intersection is unavailable for puncture links"
+                "%s, and the twist route is unavailable for puncture links"
+                % over
             )
         total += _twist_growth_intersection(big, cw)
     return total
@@ -775,6 +788,28 @@ def _boundary_wrap(tri: Triangulation, label: str, direction: int,
         passages.append((t, kin, kout))
         t, kin = tri.other_incidence(e, t, kout)
     raise ComputationError("collar wrap did not close up")
+
+
+def collar_laps(g: ArcClass, direction: int) -> int:
+    """Whole laps the arc's strand makes around the collar of its start
+    component, in the sense of ``direction`` (as in ``_boundary_wrap``),
+    before it first leaves the collar, read in a single walk.  Every lap
+    of the collar spiral leaves the triangles it passes through by the
+    same sides as the wrap from the base edge, so the count is the
+    length of the strand's prefix that repeats those exit sides, in whole
+    laps."""
+    tri = g.tri
+    wrap, _kin = _boundary_wrap(tri, g.start[0], direction)
+    t0, k0, _k1 = wrap[0]
+    c = g.coords
+    q = _position(c, t0, k0, g.start[1])
+    n = 0
+    for p, k_out in zip(_walk(c, t0, k0, q, c.total_weight + 1),
+                        cycle([k_out for (_t, _k, k_out) in wrap])):
+        if p[2] != k_out:
+            break
+        n += 1
+    return n // len(wrap)
 
 
 def _arc_from_passages(tri: Triangulation, label: str, passages) -> ArcClass:

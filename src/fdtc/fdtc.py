@@ -9,6 +9,16 @@ that window contains exactly one admissible rational, which is the
 coefficient; equality at the bracket end pins the point value M/N
 directly.  Everything is integer/rational arithmetic on normal
 coordinates, so results are exact.
+
+The twist powers of the probe arc are never compiled.  T_C^m(gamma) is
+the m-th collar drag of gamma (``curves.boundary_drag``); once a drag
+adds one lap per endpoint of gamma on C, every later drag adds the same,
+so T_C^m(gamma) = D + (|m| - j) k c_C with D the j-th drag, k the number
+of endpoints on C and c_C the boundary-parallel curve.  The search for M
+compares at m = 0 for the sign of M, reads a guess for |M| off the
+collar laps that phi^N(gamma) makes before leaving the collar
+(``curves.collar_laps``), and brackets M by a gallop from the guess and
+a bisection: about three comparisons per interval.
 """
 
 from __future__ import annotations
@@ -20,9 +30,10 @@ from math import ceil, floor
 from .errors import ComputationError, CurveError, InconsistentDataError, WordError
 from .surface import denominator_bound
 from . import curves
-from .mcg import Generator, MappingClassWord, puncture_permutation_order
+from .engine import POSITIVE_DRAG_DIRECTION
+from .mcg import MappingClassWord, puncture_permutation_order
 
-_DEFAULT_PROBE_BOUND = 4
+_PROBE_BOUND = 4
 
 
 @dataclass(frozen=True)
@@ -105,30 +116,66 @@ class FDTCResult:
 # Key Lemma bracketing
 
 
-def _boundary_power_arc(tri, C: str, gamma: curves.ArcClass,
+def _drag_chain(gamma: curves.ArcClass, C: str, sign: int):
+    """(chain, lap): chain[j] is T_C^(sign*j)(gamma) by j collar drags,
+    continued until one drag adds exactly ``lap`` = k copies of the
+    boundary-parallel curve, k being the number of endpoints of gamma on
+    C.  From there on every drag splices one whole lap per endpoint with
+    nothing to cancel, so the powers are affine.  For a probe arc that
+    does not itself wind around C the chain is (gamma, D, D + lap)."""
+    tri = gamma.tri
+    key = ("drag_chain", C, sign, gamma.coords.weights, gamma.start)
+    if key not in tri._cache:
+        k = (gamma.start[0] == C) + (gamma.end()[0] == C)
+        c_C = curves.boundary_parallel_curve(tri, C).weights
+        lap = tuple(k * x for x in c_C)
+        direction = sign * POSITIVE_DRAG_DIRECTION
+        chain = [gamma, curves.boundary_drag(gamma, C, direction)]
+        # a winding arc unwinds by at most one lap per drag
+        for _ in range(gamma.coords.total_weight + 2):
+            nxt = curves.boundary_drag(chain[-1], C, direction)
+            chain.append(nxt)
+            step = tuple(b - a for a, b in zip(chain[-2].coords.weights,
+                                               nxt.coords.weights))
+            if step == lap:
+                break
+        else:
+            raise ComputationError("collar drags of the probe arc did not "
+                                   "settle into whole laps")
+        tri._cache[key] = (tuple(chain), lap)
+    return tri._cache[key]
+
+
+def _boundary_power_arc(gamma: curves.ArcClass, C: str,
                         m: int) -> curves.ArcClass:
-    word = MappingClassWord(tri, [Generator.boundary(C, m)])
-    return word.apply_arc(gamma)
-
-
-def _ge(tri, C, gamma, phi_arc, m) -> str:
-    """Order relation between T_C^m(gamma) and the image arc: 'gt', 'eq'
-    or 'lt' in the arc order at the base point (T_C^m(gamma) decreases
-    as m grows)."""
-    tm = _boundary_power_arc(tri, C, gamma, m)
-    rel = curves.compare_at_base(tm, phi_arc, C)
-    if rel is curves.Ordering.EQUAL:
-        return "eq"
-    if rel is curves.Ordering.RIGHT_OF:
-        return "gt"
-    return "lt"
+    """T_C^m(gamma) in closed form: the m-th collar drag, read off the
+    drag chain and continued affinely by whole laps."""
+    if m == 0:
+        return gamma
+    chain, lap = _drag_chain(gamma, C, 1 if m > 0 else -1)
+    extra = abs(m) - len(chain) + 1
+    if extra <= 0:
+        return chain[abs(m)]
+    last = chain[-1]
+    weights = [a + extra * b for a, b in zip(last.coords.weights, lap)]
+    return curves.ArcClass(curves.NormalCoordinates(gamma.tri, weights),
+                           last.start)
 
 
 def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
                        N: int) -> RationalInterval:
     """Bracket c(w, C) in [M/N, (M+1)/N] from the action of w^N on one
     essential probe arc; equality at the lower bracket collapses to the
-    exact point M/N."""
+    exact point M/N.
+
+    M is the largest m with T_C^m(gamma) >= w^N(gamma), searched in
+    [-half, half].  The comparison at m = 0 gives the sign of M; w^N(gamma)
+    then follows the collar spiral of that sign for about |M| laps, which
+    one walk reads off as the first guess.  A gallop from the guess finds
+    a bracket and a bisection closes it.  Every bracket end is a
+    comparison actually made, and the relation is monotone in m, so the
+    guess only decides how many comparisons are made.  A range end is
+    compared only when the search reaches it."""
     if N < 1:
         raise ComputationError("N must be a positive integer")
     tri = w.tri
@@ -142,28 +189,46 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
     for _ in range(N):
         phi_arc = w.apply_arc(phi_arc)
     half = 2 * N * max(len(w), 1) + 2
-    lo, hi = -half, half
-    if _ge(tri, C, gamma, phi_arc, lo) == "lt":
-        raise ComputationError("Key Lemma search range too small (low end)")
-    top = _ge(tri, C, gamma, phi_arc, hi)
-    if top in ("gt", "eq"):
-        if top == "eq":
-            return _point(Fraction(hi, N))
-        raise ComputationError("Key Lemma search range too small (high end)")
-    # largest m with T_C^m(gamma) >= w^N(gamma); the relation is monotone
-    # because the twist power sequence is strictly decreasing in the order
+    # T_C^lo(gamma) >= phi_arc > T_C^hi(gamma); an end not compared yet
+    # sits just outside the range
+    lo, hi = -half - 1, half + 1
+    m, up, step = 0, None, 1
+    guessed = galloping = False
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        r = _ge(tri, C, gamma, phi_arc, mid)
-        if r == "eq":
-            return _point(Fraction(mid, N))
-        if r == "gt":
-            lo = mid
+        rel = curves.compare_at_base(_boundary_power_arc(gamma, C, m),
+                                     phi_arc, C)
+        if rel is curves.Ordering.EQUAL:
+            return _point(Fraction(m, N))
+        went_up = rel is curves.Ordering.RIGHT_OF
+        if went_up:
+            if m == half:
+                raise ComputationError(
+                    "Key Lemma search range too small (high end)")
+            lo = m
         else:
-            hi = mid
-    if _ge(tri, C, gamma, phi_arc, lo) == "eq":
-        return _point(Fraction(lo, N))
-    return RationalInterval(Fraction(lo, N), Fraction(lo + 1, N), True, True)
+            if m == -half:
+                raise ComputationError(
+                    "Key Lemma search range too small (low end)")
+            hi = m
+        if not guessed:
+            # m = 0 gave the sign of M; w^N(gamma) winds M - 1 or M laps
+            # when M >= 0, and -M - 1 or -M laps when M < 0: guess the
+            # larger candidate
+            direction = POSITIVE_DRAG_DIRECTION if went_up \
+                else -POSITIVE_DRAG_DIRECTION
+            laps = curves.collar_laps(phi_arc, direction)
+            m = laps + 1 if went_up else -laps
+            guessed = galloping = True
+        elif galloping and up in (None, went_up):
+            # gallop away from the guess until the relation turns
+            up = went_up
+            m += step if went_up else -step
+            step *= 2
+        else:
+            galloping = False
+            m = (lo + hi) // 2
+        m = min(max(m, lo + 1), hi - 1)
+    return RationalInterval(Fraction(lo, N), Fraction(hi, N), True, True)
 
 
 def _point(x: Fraction) -> RationalInterval:
@@ -238,12 +303,18 @@ def unique_bounded_denominator(interval: RationalInterval, D: int):
 # the exact computation
 
 
-def _first_probe_arc(tri, C: str, bound: int = _DEFAULT_PROBE_BOUND):
-    for b in (bound, bound + 2, bound + 4, bound + 6):
-        arcs = curves.enumerate_arcs(tri, C, b)
-        if arcs:
-            return arcs[0]
-    raise ComputationError("no essential probe arc found on %r" % (C,))
+def _first_probe_arc(tri, C: str):
+    """The lightest essential arc based on C, found once per triangulation."""
+    key = ("probe_arc", C)
+    if key not in tri._cache:
+        for b in range(_PROBE_BOUND, _PROBE_BOUND + 8, 2):
+            arcs = curves.enumerate_arcs(tri, C, b)
+            if arcs:
+                tri._cache[key] = arcs[0]
+                break
+        else:
+            raise ComputationError("no essential probe arc found on %r" % (C,))
+    return tri._cache[key]
 
 
 def _annulus_winding(w: MappingClassWord, C: str) -> FDTCResult:

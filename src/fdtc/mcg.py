@@ -189,11 +189,8 @@ class MappingClassWord:
                 raise WordError("generator record %r is not an object" % (item,))
             power = _integer(item.get("power", 1), "power")
             if "curve" in item:
-                curve = item["curve"]
-                if not isinstance(curve, (list, tuple)):
-                    raise WordError("curve must be a list, not %r" % (curve,))
-                gens.append(Generator.twist(
-                    [_integer(x, "curve weight") for x in curve], power))
+                gens.append(Generator.twist(checked_curve(tri, item["curve"]),
+                                            power))
             elif "twist" in item:
                 table = named_curves or {}
                 name = item["twist"]
@@ -208,6 +205,24 @@ class MappingClassWord:
             else:
                 raise WordError("unrecognised generator record %r" % (item,))
         return MappingClassWord(tri, gens)
+
+
+def checked_curve(tri: Triangulation, weights) -> tuple:
+    """The weights of a curve read from a problem file, after the checks
+    that named and inline curves share: a list of non-negative integers,
+    one per edge of ``tri``, satisfying the matching conditions."""
+    if not isinstance(weights, (list, tuple)):
+        raise WordError("curve must be a list, not %r" % (weights,))
+    for x in weights:
+        if _integer(x, "curve weight") < 0:
+            raise WordError("curve weight %d is negative" % (x,))
+    if len(weights) != tri.edge_count:
+        raise WordError("curve has %d weights, expected %d"
+                        % (len(weights), tri.edge_count))
+    if not curves.is_matching(curves.NormalCoordinates(tri, weights)):
+        raise WordError("curve %r violates the matching conditions"
+                        % (list(weights),))
+    return tuple(weights)
 
 
 def _integer(x, what: str) -> int:

@@ -12,6 +12,15 @@ TWO_HOLED_A = (0, 1, 0, 0, 0, 1, 1, 0, 0, 0)
 TWO_HOLED_B = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
 TWO_HOLED_C = (0, 1, 1, 0, 0, 1, 1, 2, 1, 1)
 
+# a 4-chain on the standard genus-2 one-boundary triangulation; the
+# product of its twists has coefficient 1/10
+GENUS2_CHAIN = (
+    (0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1),
+    (0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0),
+    (0, 1, 0, 1, 0, 1, 1, 2, 2, 1, 1),
+    (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+)
+
 
 @pytest.fixture(scope="session")
 def torus_tri():

@@ -221,6 +221,22 @@ class TestMain:
         assert main(["fdtc", "exact", str(path), "--word", "phi"]) == EXIT_PARSE
         assert "bad word 'phi'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", [
+        [0, 1, 0, -1, 1],  # a negative weight
+        [0, 1, 0, 0, 0],   # violates the matching conditions
+    ])
+    def test_inline_curve_checked_like_named(self, tmp_path, capsys, weights):
+        data = torus_problem()
+        data["words"]["phi"] = [{"curve": weights}]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        assert main(["fdtc", "exact", str(path), "--word", "phi"]) == EXIT_PARSE
+        assert "bad word 'phi'" in capsys.readouterr().err
+        data["words"]["phi"] = [{"twist": "a"}]
+        data["curves"]["a"] = weights
+        with pytest.raises(ParseError, match="bad curve 'a'"):
+            parse_problem(json.dumps(data))
+
     def test_unknown_component(self, torus_file):
         assert main(["fdtc", "exact", torus_file, "--word", "phi",
                      "--component", "Z"]) == EXIT_PARSE

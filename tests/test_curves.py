@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fdtc.errors import CurveError, MatchingError
+from fdtc.errors import ComputationError, CurveError, MatchingError
 from fdtc import curves, engine
 from fdtc.curves import (
     ArcClass,
@@ -11,6 +11,7 @@ from fdtc.curves import (
     arc_passages,
     boundary_drag,
     boundary_parallel_curve,
+    collar_laps,
     compare_at_base,
     enumerate_arcs,
     geometric_intersection,
@@ -215,3 +216,60 @@ class TestBoundaryDrag:
         for g in enumerate_arcs(torus_tri, "S", 5)[:6]:
             dragged = boundary_drag(g, "S", 1)
             assert compare_at_base(g, dragged, "S") is not Ordering.LEFT_OF
+
+
+class TestCollarLaps:
+    @pytest.mark.parametrize("fixture,C", WALKER_CASES)
+    def test_one_lap_per_drag(self, fixture, C, request):
+        tri = request.getfixturevalue(fixture)
+        gamma = enumerate_arcs(tri, C, 8)[0]
+        for direction in (1, -1):
+            assert collar_laps(gamma, direction) == 0
+            dragged = boundary_drag(gamma, C, direction)
+            first = collar_laps(dragged, direction)
+            assert first in (0, 1)
+            for m in range(2, 8):
+                dragged = boundary_drag(dragged, C, direction)
+                assert collar_laps(dragged, direction) == first + m - 1
+
+
+class TestOverlayCap:
+    """Pairs with more crossing pairs than the overlay cap go through the
+    twist-growth route, or fail with an error naming the cap."""
+
+    def _twisted(self, tri, k):
+        a = NormalCoordinates(tri, engine.twist_encoding(
+            tri, TORUS_B, k).forward(TORUS_A))
+        b = NormalCoordinates(tri, engine.twist_encoding(
+            tri, TORUS_A, k).forward(TORUS_B))
+        return a, b
+
+    def _pairs(self, tri, a, b):
+        return sum(x * y for e, (x, y) in enumerate(zip(a.weights, b.weights))
+                   if len(tri.incidences[e]) == 2)
+
+    def test_routes_agree_below_the_cap(self, torus_tri):
+        a, b = self._twisted(torus_tri, 160)
+        assert self._pairs(torus_tri, a, b) <= curves.OVERLAY_PAIR_LIMIT
+        assert geometric_intersection(a, b) == 160 ** 2 + 1
+        assert curves._twist_growth_intersection(a, b) == 160 ** 2 + 1
+
+    def test_twist_route_above_the_cap(self, torus_tri, monkeypatch):
+        a, b = self._twisted(torus_tri, 320)
+        assert self._pairs(torus_tri, a, b) > curves.OVERLAY_PAIR_LIMIT
+
+        def fail(*args):
+            raise AssertionError("overlay attempted above the cap")
+
+        monkeypatch.setattr(curves, "_overlay_intersection", fail)
+        assert geometric_intersection(a, b) == 320 ** 2 + 1
+
+    def test_arcs_above_the_cap_rejected(self, torus_tri):
+        gamma = enumerate_arcs(torus_tri, "S", 6)[0].coords.weights
+        enc = engine.twist_encoding(torus_tri, TORUS_A, 1) + \
+            engine.twist_encoding(torus_tri, TORUS_B, -1)
+        a = NormalCoordinates(torus_tri, enc.power(12).forward(gamma))
+        b = NormalCoordinates(torus_tri, enc.power(13).forward(gamma))
+        assert self._pairs(torus_tri, a, b) > curves.OVERLAY_PAIR_LIMIT
+        with pytest.raises(ComputationError, match="overlay cap of 50000"):
+            geometric_intersection(a, b)

@@ -2,12 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fdtc.errors import WordError
+from fdtc.errors import ComputationError, WordError
 from fdtc.surface import SurfaceSpec, standard_triangulation
-from fdtc.curves import enumerate_arcs
+from fdtc import curves, engine
+from fdtc import fdtc as fdtc_mod
+from fdtc.curves import (
+    Ordering, boundary_drag, compare_at_base, enumerate_arcs,
+)
+from fdtc.engine import POSITIVE_DRAG_DIRECTION
 from fdtc.mcg import Generator, MappingClassWord, identity_word
 from fdtc.fdtc import (
+    _boundary_power_arc,
+    _first_probe_arc,
     RationalInterval,
     bounded_denominator_candidates,
     braid_fdtc,
@@ -18,7 +26,9 @@ from fdtc.fdtc import (
     translation_estimate,
     unique_bounded_denominator,
 )
-from conftest import TORUS_A, TORUS_B
+from conftest import (
+    GENUS2_CHAIN, TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C,
+)
 
 
 def _brute_candidates(interval, D):
@@ -210,3 +220,189 @@ class TestRightVeering:
     def test_no_witness_for_identity(self, torus_tri):
         out = right_veering_test(identity_word(torus_tri), "S", 5)
         assert out["verdict"] == "no-witness-up-to-bound"
+
+
+class TestBoundaryPowerClosedForm:
+    """T_C^m(gamma) is read off the collar drags of gamma: the m-th drag,
+    continued by whole laps once a drag adds exactly one lap per
+    endpoint on C."""
+
+    @pytest.mark.parametrize("fixture,C", [
+        ("torus_tri", "S"),
+        ("two_holed_torus_tri", "C1"),
+        ("two_holed_torus_tri", "C2"),
+        ("disc3_tri", "C"),
+    ])
+    def test_matches_compiled_twist(self, fixture, C, request):
+        tri = request.getfixturevalue(fixture)
+        # the probe arc, heavier arcs (on C2 the third is the twist image
+        # of the first) and arcs that wind three times around C, whose
+        # drags unwind them before they add whole laps
+        arcs = enumerate_arcs(tri, C, 8)[:4]
+        arcs += [MappingClassWord(tri, [Generator.boundary(C, k)])
+                 .apply_arc(arcs[0]) for k in (3, -3)]
+        for gamma in arcs:
+            for m in range(-7, 8):
+                twist = MappingClassWord(tri, [Generator.boundary(C, m)])
+                assert _boundary_power_arc(gamma, C, m) == \
+                    twist.apply_arc(gamma)
+
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_matches_repeated_drag(self, genus):
+        tri = standard_triangulation(SurfaceSpec(genus, ("S",)))
+        gamma = _first_probe_arc(tri, "S")
+        for sign in (1, -1):
+            dragged = gamma
+            for m in range(1, 9):
+                dragged = boundary_drag(dragged, "S",
+                                        sign * POSITIVE_DRAG_DIRECTION)
+                assert _boundary_power_arc(gamma, "S", sign * m) == dragged
+
+    def test_probe_arc_found_once(self, monkeypatch):
+        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        gamma = _first_probe_arc(tri, "S")
+
+        def fail(*args):
+            raise AssertionError("probe arc enumerated again")
+
+        monkeypatch.setattr(curves, "enumerate_arcs", fail)
+        assert _first_probe_arc(tri, "S") is gamma
+
+    def test_genus2_chain_needs_no_boundary_twist(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("probe-image search reached")
+
+        monkeypatch.setattr(engine, "encoding_from_probe_images", fail)
+        tri = standard_triangulation(SurfaceSpec(2, ("S",)))
+        w = MappingClassWord(tri, [Generator.twist(c) for c in GENUS2_CHAIN])
+        assert fdtc_exact(w, "S").value == Fraction(1, 10)
+
+
+def _bisection(rel, N, half):
+    """The Key Lemma search as it was before the seeded one, kept as the
+    reference: check both range ends, then bisect [-half, half].
+    ``rel(m)`` orders T_C^m(gamma) against the image arc."""
+    lo, hi = -half, half
+    if rel(lo) is Ordering.LEFT_OF:
+        raise ComputationError("Key Lemma search range too small (low end)")
+    top = rel(hi)
+    if top is not Ordering.LEFT_OF:
+        if top is Ordering.EQUAL:
+            return RationalInterval(Fraction(hi, N), Fraction(hi, N))
+        raise ComputationError("Key Lemma search range too small (high end)")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        r = rel(mid)
+        if r is Ordering.EQUAL:
+            return RationalInterval(Fraction(mid, N), Fraction(mid, N))
+        if r is Ordering.RIGHT_OF:
+            lo = mid
+        else:
+            hi = mid
+    if rel(lo) is Ordering.EQUAL:
+        return RationalInterval(Fraction(lo, N), Fraction(lo, N))
+    return RationalInterval(Fraction(lo, N), Fraction(lo + 1, N))
+
+
+def _outcome(search):
+    try:
+        return search()
+    except ComputationError as exc:
+        return str(exc)
+
+
+WORD_LETTERS = {
+    "torus_tri": ("S", [Generator.twist(TORUS_A, s) for s in (1, -1)]
+                  + [Generator.twist(TORUS_B, s) for s in (1, -1)]
+                  + [Generator.boundary("S", s) for s in (1, -1)]),
+    "two_holed_torus_tri": (
+        "C1", [Generator.twist(c, s) for c in (TWO_HOLED_A, TWO_HOLED_B,
+                                               TWO_HOLED_C)
+               for s in (1, -1)]
+        + [Generator.boundary(C, s) for C in ("C1", "C2") for s in (1, -1)]),
+}
+
+
+class TestSeededSearch:
+    """The seeded search returns what the plain bisection returns, on
+    real words and on every position of M around the range ends."""
+
+    @pytest.mark.parametrize("fixture", sorted(WORD_LETTERS))
+    def test_matches_bisection_on_words(self, fixture, request):
+        tri = request.getfixturevalue(fixture)
+        C, letters = WORD_LETTERS[fixture]
+        gamma = _first_probe_arc(tri, C)
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(st.sampled_from(letters), min_size=1, max_size=4),
+               st.sampled_from((1, 2, 5, 31)))
+        def check(gens, N):
+            w = MappingClassWord(tri, gens)
+            image = gamma
+            for _ in range(N):
+                image = w.apply_arc(image)
+
+            def rel(m):
+                twist = MappingClassWord(tri, [Generator.boundary(C, m)])
+                return compare_at_base(twist.apply_arc(gamma), image, C)
+
+            half = 2 * N * max(len(w), 1) + 2
+            assert _outcome(lambda: key_lemma_interval(w, C, gamma, N)) == \
+                _outcome(lambda: _bisection(rel, N, half))
+
+        check()
+
+    def test_matches_bisection_at_range_ends(self, torus_tri, monkeypatch):
+        w = MappingClassWord(torus_tri, [Generator.twist(TORUS_A),
+                                         Generator.twist(TORUS_B)])
+        gamma = _first_probe_arc(torus_tri, "S")
+        target = {}
+
+        def rel(m):
+            # T_C^m(gamma) decreases in m; it equals the image at M when
+            # the image is exactly a boundary-twist power
+            if target["exact"] and m == target["M"]:
+                return Ordering.EQUAL
+            return Ordering.RIGHT_OF if m <= target["M"] else Ordering.LEFT_OF
+
+        monkeypatch.setattr(fdtc_mod, "_boundary_power_arc",
+                            lambda gamma, C, m: m)
+        monkeypatch.setattr(curves, "compare_at_base",
+                            lambda m, image, C: rel(m))
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.sampled_from((1, 2, 5, 31)), st.integers(-3, 3),
+               st.integers(-40, 40), st.booleans())
+        @example(1, 0, 6, True)      # 'eq' at the high end
+        @example(1, 0, -6, True)     # 'eq' at the low end
+        @example(1, 0, 6, False)     # M beyond the high end
+        @example(1, 0, -7, False)    # M below the low end
+        @example(2, 1, 11, False)
+        def check(N, end, offset, exact):
+            half = 2 * N * len(w) + 2
+            # M near one of the range ends, or anywhere inside
+            target["M"] = end * half + offset if end in (-1, 1) else offset
+            target["exact"] = exact
+            assert _outcome(lambda: key_lemma_interval(w, "S", gamma, N)) \
+                == _outcome(lambda: _bisection(rel, N, half))
+
+        check()
+
+    def test_few_comparisons(self, torus_tri, monkeypatch):
+        w = MappingClassWord(torus_tri, [Generator.twist(TORUS_A),
+                                         Generator.twist(TORUS_B)])
+        gamma = _first_probe_arc(torus_tri, "S")
+        calls = []
+        compare = curves.compare_at_base
+
+        def counted(*args):
+            calls.append(args)
+            return compare(*args)
+
+        monkeypatch.setattr(curves, "compare_at_base", counted)
+        for N in (31, 62, 124):
+            calls.clear()
+            iv = key_lemma_interval(w, "S", gamma, N)
+            assert iv.contains(Fraction(1, 6))
+            # m = 0, then the two ends of the bracket
+            assert len(calls) <= 3
