@@ -15,12 +15,20 @@ by renaming the edge ids of the flips behind it; the copies in a power
 that are renamed alike share one block of flips.
 
 A Dehn twist along a simple closed curve is compiled into such a script:
-flip until the curve crosses just two edges once each (so a square of
-two triangles forms its annular neighbourhood), do the twist there as
-one flip plus an edge renaming that restores the triangulation, then
-undo the preparatory flips.  Applying the script is pure big-integer
-arithmetic, which is what makes high twist powers on huge coordinates
-affordable.
+flip until the curve crosses just two edges once each (so two triangles
+form its annular neighbourhood), do the twist there as one flip plus the
+edge renaming that restores the triangulation, then undo the preparatory
+flips.  The orientation of the two triangles says which flip is the
+right-handed twist.  The braid generator sigma_i is built the same way
+around the curve enclosing punctures i and i+1, where the half twist is
+three flips next to the once-punctured monogon around one of them.
+Neither move involves a search beyond the shortening.  Applying the
+script is pure big-integer arithmetic, which is what makes high twist
+powers on huge coordinates affordable.
+
+Only the twist along the boundary of a one-boundary surface, which has
+no annular position, is still reconstructed by a search from its action
+on probe arcs.
 """
 
 from __future__ import annotations
@@ -153,20 +161,6 @@ def flip(tri: Triangulation, e: int):
     return new_tri, (e, a[0], b[0], c[0], d[0])
 
 
-def relabel(tri: Triangulation, perm, reversed_edges=()) -> Triangulation:
-    """Rename edges by perm[old] = new; boundary data follows along.
-    Edges listed in ``reversed_edges`` (old ids) also have their
-    intrinsic direction reversed, which weights never see."""
-    rev = set(reversed_edges)
-    new_triangles = [
-        tuple((perm[e], -s if e in rev else s) for (e, s) in sides)
-        for sides in tri.triangles
-    ]
-    labels = {perm[e]: lab for e, lab in tri.boundary_label_of_edge.items()}
-    bases = {lab: perm[e] for lab, e in tri.base_edge_of.items()}
-    return Triangulation(tri.surface, new_triangles, labels, bases)
-
-
 def _canonical_key(tri: Triangulation):
     out = []
     for sides in tri.triangles:
@@ -218,66 +212,53 @@ def shorten_curve(tri: Triangulation, weights):
     )
 
 
-def _twist_handedness(short_tri: Triangulation, core: Encoding):
-    """+1 if the annular square move is the right-handed twist, -1 if
-    left-handed.
+def _core_twist(short_tri: Triangulation, short_w) -> Encoding:
+    """The positive Dehn twist in the annular position.
 
-    A positive twist is right-veering: no boundary-based arc maps
-    strictly to the left of itself at its starting end, and arcs
-    crossing the core curve do map strictly right somewhere (both arc
-    orientations are enumerated, so a move at either end is seen).  A
-    negative twist is the mirror statement, so counting strict moves
-    over a small arc family decides the sign."""
-    for bound in (6, 8, 10, 12):
-        rights = lefts = 0
-        for lab in sorted(short_tri.base_edge_of):
-            for g in _curves.enumerate_arcs(short_tri, lab, bound):
-                iw = core.forward(g.coords.weights)
-                if iw == g.coords.weights:
-                    continue
-                img = _curves.ArcClass(
-                    _curves.NormalCoordinates(short_tri, iw), g.start
-                )
-                rel = _curves.compare_at_base(g, img, lab)
-                if rel is _curves.Ordering.RIGHT_OF:
-                    rights += 1
-                elif rel is _curves.Ordering.LEFT_OF:
-                    lefts += 1
-        if rights and not lefts:
-            return 1
-        if lefts and not rights:
-            return -1
-        if rights and lefts:
-            raise ComputationError("annular move is not a twist")
-    raise ComputationError("could not determine twist handedness")
+    The curve crosses just e1 and e2, and the two triangles it passes
+    through form its annular neighbourhood.  In either of them the two
+    crossed sides follow each other in the same counterclockwise order;
+    flipping the second one and renaming the edges back onto
+    ``short_tri`` is the right-handed twist."""
+    e1, e2 = (e for e, x in enumerate(short_w) if x == 1)
+    (t, k), _ = short_tri.incidences[e1]
+    fe = e2 if short_tri.triangles[t][(k + 1) % 3][0] == e2 else e1
+    flipped, step = flip(short_tri, fe)
+    return _closed(short_tri, flipped, [step], "annular twist")
 
 
-def _core_twist(short_tri: Triangulation, short_w):
-    """One twist in the annular position: flip one of the two crossed
-    edges, then relabel (possibly reversing) the two crossed edges so
-    the triangulation comes back to itself exactly.
+def _core_half_twist(short_tri: Triangulation, short_w) -> Encoding:
+    """The positive half twist in the annular position of a curve around
+    two punctures.
 
-    Which of the closing candidates appears first depends on the
-    triangulation, so the handedness of the move is NOT fixed here; the
-    caller decides it with ``_twist_handedness``."""
-    e1, e2 = sorted(e for e, x in enumerate(short_w) if x == 1)
-    n = short_tri.edge_count
-    swap = list(range(n))
-    swap[e1], swap[e2] = e2, e1
-    ident = list(range(n))
-    for fe in (e1, e2):
-        flipped, step = flip(short_tri, fe)
-        for perm in (swap, ident):
-            for rev in ((), (e1,), (e2,), (e1, e2)):
-                cand = relabel(flipped, perm, rev)
-                if cand.same_structure(short_tri):
-                    core = Encoding([step], perm)
-                    if core.forward(tuple(short_w)) != tuple(short_w):
-                        raise ComputationError(
-                            "annular twist moved its own core curve"
-                        )
-                    return core
-    raise ComputationError("annular twist did not close up")
+    On the pair's side the annulus triangle (x, a, b), a and b the
+    crossed edges, has its third side x on a self-folded triangle: the
+    once-punctured monogon around the second puncture.  Flipping x, then
+    b, then a swaps the two punctures, and renaming the edges back onto
+    ``short_tri`` closes the move."""
+    crossed = {e for e, x in enumerate(short_w) if x == 1}
+    for t, sides in enumerate(short_tri.triangles):
+        for k in range(3):
+            x, a, b = (sides[(k + j) % 3][0] for j in range(3))
+            if {a, b} != crossed or short_tri.is_boundary_edge(x):
+                continue
+            t2, _ = short_tri.other_incidence(x, t, k)
+            if len({e for e, _s in short_tri.triangles[t2]}) == 2:
+                cur, steps = short_tri, []
+                for e in (x, b, a):
+                    cur, step = flip(cur, e)
+                    steps.append(step)
+                return _closed(short_tri, cur, steps, "half twist")
+    raise ComputationError("no once-punctured monogon next to the pair curve")
+
+
+def _closed(short_tri, flipped, steps, what) -> Encoding:
+    """The flips followed by the renaming that identifies ``flipped``
+    with ``short_tri`` again."""
+    perm = derive_relabel_to(flipped, short_tri)
+    if perm is None:
+        raise ComputationError("%s did not close up" % what)
+    return Encoding(steps, perm)
 
 
 # Which collar rotation sense counts as the positive boundary twist.
@@ -483,82 +464,28 @@ def half_twist_encoding(tri: Triangulation, i: int, power: int = 1) -> Encoding:
     """Replay script for the ``power``-th power of the positive half
     twist swapping punctures i and i+1 (the braid generator sigma_i).
 
-    The script is found by a breadth-first search over flips supported
-    near the pair, accepting the mapping class whose square is the
-    positive Dehn twist along the curve enclosing the two punctures:
-    that equation has a unique solution, because the half twist
-    generates the mapping class group of the twice-punctured disc around
-    the pair and the complementary piece is torsion-free."""
+    Built like a Dehn twist: shorten the curve enclosing the pair into
+    its annular position, make the three-flip move of
+    ``_core_half_twist`` there, and conjugate back.  Its square is the
+    positive Dehn twist along that curve."""
     if power == 0:
         return Encoding([])
     cache = tri._cache.setdefault("half_twist_encodings", {})
     if i not in cache:
-        cache[i] = _derive_half_twist(tri, i)
+        conj, short_tri, short_w = shorten_curve(tri, pair_curve_weights(tri, i))
+        cache[i] = conj + _core_half_twist(short_tri, short_w) + conj.inverted()
     return cache[i].power(power)
-
-
-def _derive_half_twist(tri: Triangulation, i: int, cap: int = 50000) -> Encoding:
-    from collections import deque
-
-    cw = pair_curve_weights(tri, i)
-    twist = twist_encoding(tri, cw)
-    chain_edge = tri._cache["puncture_chain_edges"][i - 1]
-    probes = []
-    for lab in sorted(tri.base_edge_of):
-        probes.extend(_curves.enumerate_arcs(tri, lab, 8))
-    pw = [g.coords.weights for g in probes]
-    timgs = [twist.forward(w) for w in pw]
-
-    def is_half_twist(enc):
-        return enc.forward(cw) == cw and all(
-            enc.forward(enc.forward(w)) == tw for w, tw in zip(pw, timgs))
-
-    stack0 = cw + tuple(t for w in pw for t in w)
-    queue = deque([(tri, stack0, (), frozenset((chain_edge,)))])
-    seen = {(_canonical_key(tri), stack0)}
-    explored = 0
-    while queue and explored < cap:
-        cur, stack, path, support = queue.popleft()
-        explored += 1
-        if path:
-            perm = derive_relabel_to(cur, tri)
-            if perm is not None:
-                cand = Encoding(path, perm)
-                for enc in (cand, cand.inverted()):
-                    if is_half_twist(enc):
-                        return enc
-        n = tri.edge_count
-        for e in range(n):
-            # the half twist is supported in a disc around the pair, so
-            # only flip edges crossing the pair curve, the chain edge,
-            # or edges already moved on this path
-            if stack[e] == 0 and e not in support:
-                continue
-            if cur.is_boundary_edge(e):
-                continue
-            try:
-                nt, fs = flip(cur, e)
-            except TriangulationError:
-                continue
-            ns = _flip_blocks(fs, stack, n)
-            if ns is None:
-                continue
-            key = (_canonical_key(nt), ns)
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append((nt, ns, path + (fs,), support | {e}))
-    raise ComputationError(
-        "could not find the half twist swapping punctures %d and %d" % (i, i + 1)
-    )
 
 
 def twist_encoding(tri: Triangulation, curve_weights, power: int = 1) -> Encoding:
     """Replay script for the ``power``-th power of the positive Dehn
     twist along the closed curve with the given weights.
 
-    Twists along curves bounding a once-punctured disc are isotopically
-    trivial on a surface with marked points and yield an empty script.
+    The curve is shortened into its annular position, where the twist is
+    the one-flip move of ``_core_twist``, and the move is conjugated
+    back.  Twists along curves bounding a once-punctured disc are
+    isotopically trivial on a surface with marked points and yield an
+    empty script.
     """
     w = tuple(curve_weights)
     coords = _curves.NormalCoordinates(tri, w)
@@ -583,7 +510,5 @@ def twist_encoding(tri: Triangulation, curve_weights, power: int = 1) -> Encodin
             raise CurveError("twist curves must be single closed curves")
         conj, short_tri, short_w = shorten_curve(tri, w)
         core = _core_twist(short_tri, short_w)
-        if _twist_handedness(tri, conj + core + conj.inverted()) < 0:
-            core = core.inverted()
         cache[w] = (core, conj)
     return conj + core.power(power) + conj.inverted()

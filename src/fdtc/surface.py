@@ -350,29 +350,6 @@ class Triangulation:
         }
         return self._derived
 
-    # -- structural equality ---------------------------------------------
-
-    def same_structure(self, other: "Triangulation") -> bool:
-        """Equality of the labelled combinatorial structure, with each
-        triangle compared up to cyclic rotation of its sides."""
-        if self.edge_count != other.edge_count:
-            return False
-        if self.boundary_label_of_edge != other.boundary_label_of_edge:
-            return False
-        if self.base_edge_of != other.base_edge_of:
-            return False
-
-        def canon(tris):
-            out = set()
-            for tri in tris:
-                rots = [tuple(tri[i:] + tri[:i]) for i in range(3)]
-                out.add(min(rots))
-            return out
-
-        return canon(list(map(list, self.triangles))) == canon(
-            list(map(list, other.triangles))
-        )
-
     def to_json(self) -> dict:
         return {
             "surface": self.surface.to_json(),

@@ -8,6 +8,7 @@ from fdtc.errors import ComputationError, CurveError
 from fdtc import curves, engine
 from fdtc.fdtc import key_lemma_interval
 from fdtc.mcg import Generator, MappingClassWord
+from fdtc.surface import SurfaceSpec, standard_triangulation
 from fdtc.curves import (
     NormalCoordinates,
     boundary_drag,
@@ -125,16 +126,28 @@ class TestBoundaryTwistDualRoute:
         assert _equal_on_probes(tri, e1 + e2, e2 + e1, bound=7)
 
 
+def _moves_some(tri, enc, bound):
+    return any(enc.forward(w) != w for w in _probe_weights(tri, bound))
+
+
 class TestHalfTwists:
+    # each check also asserts that the pair twist or the boundary twist
+    # moves a probe, so that it cannot pass on a family nothing moves
+
     def test_square_is_pair_twist(self, disc2_tri):
         sigma = engine.half_twist_encoding(disc2_tri, 1)
         pair = engine.twist_encoding(
             disc2_tri, engine.pair_curve_weights(disc2_tri, 1))
+        assert _moves_some(disc2_tri, pair, 8)
         assert _equal_on_probes(disc2_tri, sigma + sigma, pair, bound=8)
 
     def test_braid_relation(self, disc3_tri):
         s1 = engine.half_twist_encoding(disc3_tri, 1)
         s2 = engine.half_twist_encoding(disc3_tri, 2)
+        for i in (1, 2):
+            pair = engine.twist_encoding(
+                disc3_tri, engine.pair_curve_weights(disc3_tri, i))
+            assert _moves_some(disc3_tri, pair, 8)
         assert _equal_on_probes(disc3_tri, s1 + s2 + s1, s2 + s1 + s2,
                                 bound=8)
 
@@ -147,13 +160,90 @@ class TestHalfTwists:
             word = word + s2 + s1
         bp = boundary_parallel_curve(disc3_tri, "C").weights
         tb = engine.twist_encoding(disc3_tri, bp)
+        assert _moves_some(disc3_tri, tb, 8)
         assert _equal_on_probes(disc3_tri, word, tb, bound=8)
 
     def test_inverse(self, disc2_tri):
         s = engine.half_twist_encoding(disc2_tri, 1)
         si = engine.half_twist_encoding(disc2_tri, 1, -1)
+        pair = engine.twist_encoding(
+            disc2_tri, engine.pair_curve_weights(disc2_tri, 1))
+        assert _moves_some(disc2_tri, pair, 8)
         for w in _probe_weights(disc2_tri, 8):
             assert si.forward(s.forward(w)) == w
+
+
+# (genus, boundary labels, punctures, probe bound), with a bound at which
+# every pair twist moves some probe arc
+BRAID_DISCS = [(0, ("C",), 3, 8), (0, ("C",), 4, 8), (0, ("C",), 5, 10),
+               (0, ("C",), 6, 10)]
+
+
+def _braid_id(p):
+    return "g%d_d%d_n%d" % (p[0], len(p[1]), p[2])
+
+
+@pytest.fixture(scope="module", ids=_braid_id,
+                params=BRAID_DISCS + [(1, ("C1", "C2"), 3, 14)])
+def braid_surface(request):
+    g, labels, n, bound = request.param
+    tri = standard_triangulation(SurfaceSpec(g, labels, n))
+    sigmas = [engine.half_twist_encoding(tri, i) for i in range(1, n)]
+    return tri, sigmas, bound
+
+
+class TestBraidGenerators:
+    """Every sigma_i on punctured discs and on a punctured two-holed
+    torus satisfies the defining laws of the braid group, on probe
+    families that the twists involved actually move."""
+
+    def test_square_is_pair_twist(self, braid_surface):
+        tri, sigmas, bound = braid_surface
+        for i, s in enumerate(sigmas, 1):
+            cw = engine.pair_curve_weights(tri, i)
+            assert s.forward(cw) == cw
+            pair = engine.twist_encoding(tri, cw)
+            assert _moves_some(tri, pair, bound), i
+            assert _equal_on_probes(tri, s + s, pair, bound), i
+
+    def test_relations(self, braid_surface):
+        tri, sigmas, bound = braid_surface
+        for i, a in enumerate(sigmas):
+            for j, b in enumerate(sigmas[i + 1:], i + 1):
+                if j == i + 1:
+                    assert _equal_on_probes(tri, a + b + a, b + a + b, bound)
+                else:
+                    assert _equal_on_probes(tri, a + b, b + a, bound)
+
+    @pytest.mark.parametrize("braid_surface", BRAID_DISCS, ids=_braid_id,
+                             indirect=True)
+    def test_full_twist_is_boundary_drag(self, braid_surface):
+        # on a disc (sigma_1 ... sigma_{n-1})^n is the boundary twist
+        tri, sigmas, bound = braid_surface
+        full = sum(sigmas, engine.Encoding(())).power(len(sigmas) + 1)
+        probes = enumerate_arcs(tri, "C", bound)
+        assert probes
+        for g in probes:
+            dragged = boundary_drag(g, "C", engine.POSITIVE_DRAG_DIRECTION)
+            assert full.forward(g.coords.weights) == dragged.coords.weights
+
+
+# a closed curve on the standard S_{3,1} triangulation that no arc of
+# weight at most 16 crosses, and a curve meeting it once
+GENUS3_DEEP = tuple(int(e in (0, 7)) for e in range(17))
+GENUS3_LINK = (0, 1, 0, 1, 1, 1, 0, 1, 1, 2, 2, 1, 1, 2, 1, 0, 1)
+
+
+class TestTwistHandedness:
+    def test_conjugate_of_deep_twist(self):
+        # T_{h(a)} = h T_a h^-1, where h(a) is crossed by short arcs
+        tri = standard_triangulation(SurfaceSpec(3, ("S",)))
+        ta = engine.twist_encoding(tri, GENUS3_DEEP)
+        assert not _moves_some(tri, ta, 16)
+        h = engine.twist_encoding(tri, GENUS3_LINK)
+        tha = engine.twist_encoding(tri, h.forward(GENUS3_DEEP))
+        assert _moves_some(tri, tha, 8)
+        assert _equal_on_probes(tri, h.inverted() + ta + h, tha, bound=8)
 
 
 class TestShortenCurve:

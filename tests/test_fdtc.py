@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -177,6 +178,41 @@ class TestBraid:
         w = MappingClassWord(disc3_tri, [Generator.braid(1, 2)])
         res = fdtc_exact(w, "C")
         assert res.value == 0
+
+
+class TestCoxeterBraids:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sigma_product_is_one_over_n(self, n):
+        # (sigma_1 ... sigma_{n-1})^n is the boundary twist
+        tri = standard_triangulation(SurfaceSpec(0, ("C",), n))
+        w = MappingClassWord(tri, [Generator.braid(i) for i in range(1, n)])
+        assert braid_fdtc(w, "C").value == Fraction(1, n)
+
+
+def _short_closed_curves(tri, max_weight):
+    """Every single closed curve of total weight at most max_weight."""
+    interior = [e for e in range(tri.edge_count)
+                if not tri.is_boundary_edge(e)]
+    out = []
+    for total in range(1, max_weight + 1):
+        for edges in itertools.combinations_with_replacement(interior, total):
+            c = curves.coords_from_crossings(tri, edges)
+            if curves.is_matching(c):
+                comps = curves.trace_components(c)
+                if len(comps) == 1 and comps[0]["type"] == "closed":
+                    out.append(c.weights)
+    return out
+
+
+class TestGenus3ShortTwists:
+    def test_twists_have_coefficient_zero(self):
+        # some of these curves are crossed by no arc of weight <= 16
+        tri = standard_triangulation(SurfaceSpec(3, ("S",)))
+        short = _short_closed_curves(tri, 4)
+        assert len(short) == 9
+        for cw in short:
+            w = MappingClassWord(tri, [Generator.twist(cw)])
+            assert fdtc_exact(w, "S").value == 0, cw
 
 
 class TestQuasimorphism:
