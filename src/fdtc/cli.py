@@ -234,6 +234,8 @@ def run(problem: ProblemFile, args) -> Report:
             res = fdtc_mod.braid_fdtc(w, C)
             report.results.append(res.to_json())
         elif args.action == "interval":
+            if args.N < 1:
+                raise ParseError("--N must be at least 1, not %d" % args.N)
             for (i, iv) in enumerate(
                     fdtc_mod.translation_estimate(w, C, args.N)):
                 report.results.append({"N": i + 1,

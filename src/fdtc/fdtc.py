@@ -18,7 +18,9 @@ of endpoints on C and c_C the boundary-parallel curve.  The search for M
 compares at m = 0 for the sign of M, reads a guess for |M| off the
 collar laps that phi^N(gamma) makes before leaving the collar
 (``curves.collar_laps``), and brackets M by a gallop from the guess and
-a bisection: about three comparisons per interval.
+a bisection: about three comparisons per interval.  phi^N(gamma) resumes
+from the furthest point of the orbit of gamma that the word keeps
+(``MappingClassWord.orbit_arc``): a sweep to N_max applies w N_max times.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class FDTCResult:
 
     value: Fraction | None
     interval: RationalInterval | None
-    provenance: str  # KeyLemma | ExactTheorem | PeriodicityCorollary | TranslationEstimate
+    provenance: str  # ExactTheorem | PeriodicityCorollary
     N: int | None = None
     M: int | None = None
     D: int | None = None
@@ -166,7 +168,7 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
                        N: int) -> RationalInterval:
     """Bracket c(w, C) in [M/N, (M+1)/N] from the action of w^N on one
     essential probe arc; equality at the lower bracket collapses to the
-    exact point M/N.
+    exact point M/N.  w^N(gamma) resumes from the word's orbit point.
 
     M is the largest m with T_C^m(gamma) >= w^N(gamma), searched in
     [-half, half].  The comparison at m = 0 gives the sign of M; w^N(gamma)
@@ -185,9 +187,7 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
         raise CurveError("probe arc must start on %r" % (C,))
     if not curves.is_essential(gamma):
         raise CurveError("Key Lemma requires essential arc")
-    phi_arc = gamma
-    for _ in range(N):
-        phi_arc = w.apply_arc(phi_arc)
+    phi_arc = w.orbit_arc(gamma, N)
     half = 2 * N * max(len(w), 1) + 2
     # T_C^lo(gamma) >= phi_arc > T_C^hi(gamma); an end not compared yet
     # sits just outside the range
@@ -331,10 +331,9 @@ def _annulus_winding(w: MappingClassWord, C: str) -> FDTCResult:
 def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
     """c(w, C) as an exact rational.
 
-    Runs the bracketing at N = D(D-1)+1 so that the window contains a
-    single rational of admissible denominator; doubles N (up to 64 times
-    its starting value) in the ambiguous cases and returns the bare
-    interval when that budget runs out."""
+    Runs the bracketing once, at N = D(D-1)+1: two distinct rationals of
+    denominator at most D lie at least 1/(D(D-1)) apart, more than the
+    width 1/N, so the closed window holds at most one of them."""
     tri = w.tri
     if C not in tri.base_edge_of:
         raise WordError("unknown boundary label %r" % (C,))
@@ -355,27 +354,17 @@ def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
         return _annulus_winding(w, C)
     D = db.value
     N = D * (D - 1) + 1
-    n_cap = 64 * N
-    gamma = _first_probe_arc(tri, C)
-    last_interval = None
-    n = N
-    while n <= n_cap:
-        interval = key_lemma_interval(w, C, gamma, n)
-        last_interval = interval
-        if interval.is_point:
-            val = interval.lo
-            return FDTCResult(val, interval, "PeriodicityCorollary",
-                              N=n, M=int(val * n), D=D)
-        val, report = unique_bounded_denominator(interval, D)
-        if val is not None:
-            return FDTCResult(val, interval, "ExactTheorem",
-                              N=n, M=int(interval.lo * n), D=D)
-        if report["status"] == "empty":
-            raise InconsistentDataError(
-                "no admissible rational in the bracketing interval"
-            )
-        n *= 2
-    return FDTCResult(None, last_interval, "KeyLemma", N=n // 2, D=D)
+    interval = key_lemma_interval(w, C, _first_probe_arc(tri, C), N)
+    M = int(interval.lo * N)
+    if interval.is_point:
+        return FDTCResult(interval.lo, interval, "PeriodicityCorollary",
+                          N=N, M=M, D=D)
+    val, report = unique_bounded_denominator(interval, D)
+    if val is None:
+        raise InconsistentDataError(
+            "%s admissible rational in the bracketing interval"
+            % ("no" if report["status"] == "empty" else "more than one"))
+    return FDTCResult(val, interval, "ExactTheorem", N=N, M=M, D=D)
 
 
 def braid_fdtc(w: MappingClassWord, C: str) -> FDTCResult:
@@ -388,11 +377,8 @@ def braid_fdtc(w: MappingClassWord, C: str) -> FDTCResult:
         raise WordError("%r is not a boundary label" % (C,))
     m = puncture_permutation_order(w)
     res = fdtc_exact(w.power(m), C)
-    return FDTCResult(
-        None if res.value is None else res.value / m,
-        None if res.interval is None else res.interval.scaled(Fraction(1, m)),
-        res.provenance, N=res.N, M=res.M, D=res.D,
-    )
+    return FDTCResult(res.value / m, res.interval.scaled(Fraction(1, m)),
+                      res.provenance, N=res.N, M=res.M, D=res.D)
 
 
 def translation_estimate(w: MappingClassWord, C: str,
@@ -419,10 +405,10 @@ def right_veering_test(w: MappingClassWord, C: str, weight_bound: int,
     if weight_bound < 1:
         raise ComputationError("weight bound must be at least 1")
     res = fdtc_exact(w, C)
-    if res.value is not None and res.value < 0:
+    if res.value < 0:
         return {"verdict": "non-right-veering", "reason": "fdtc-negative",
                 "fdtc": res, "witness": None}
-    if res.value is not None and res.value > 0 and nt_type == "pseudoAnosov":
+    if res.value > 0 and nt_type == "pseudoAnosov":
         return {"verdict": "right-veering", "reason": "fdtc-positive-pA",
                 "fdtc": res, "witness": None}
     enc = w.encoding()
@@ -447,8 +433,6 @@ def quasimorphism_audit(w1: MappingClassWord, w2: MappingClassWord,
     c1 = fdtc_exact(w1, C)
     c2 = fdtc_exact(w2, C)
     c12 = fdtc_exact(w1.compose(w2), C)
-    if c1.value is None or c2.value is None or c12.value is None:
-        raise ComputationError("audit needs exact values for all three words")
     defect = abs(c12.value - c1.value - c2.value)
     conj = fdtc_exact(w2.compose(w1).compose(w2.invert()), C)
     return {

@@ -90,6 +90,7 @@ class MappingClassWord:
             gens.append(g)
         self.generators = tuple(gens)
         self._encoding = None
+        self._orbit = None  # (gamma, n, w^n(gamma)) of the last orbit_arc
 
     # -- construction checks ----------------------------------------------
 
@@ -165,6 +166,19 @@ class MappingClassWord:
         boundary pointwise, so the start slot is preserved."""
         img = self.apply(g.coords)
         return curves.ArcClass(img, g.start)
+
+    def orbit_arc(self, gamma: curves.ArcClass, N: int) -> curves.ArcClass:
+        """w^N(gamma), resumed from the kept point w^n(gamma) when n <= N,
+        else walked from gamma; the new point replaces the kept one."""
+        if N < 0:
+            raise WordError("orbit power must be non-negative, not %d" % N)
+        kept = self._orbit
+        n, arc = kept[1:] if kept and kept[0] == gamma and kept[1] <= N \
+            else (0, gamma)
+        for _ in range(N - n):
+            arc = self.apply_arc(arc)
+        self._orbit = (gamma, N, arc)
+        return arc
 
     # -- punctures ----------------------------------------------------------
 

@@ -149,6 +149,12 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert len(out["results"]) == 4
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_fdtc_interval_bad_N_exit(self, torus_file, capsys, n):
+        assert main(["fdtc", "interval", torus_file, "--word", "phi",
+                     "--N", n]) == EXIT_PARSE
+        assert "--N must be at least 1" in capsys.readouterr().err
+
     def test_fdtc_audit(self, torus_file, capsys):
         assert main(["fdtc", "audit", torus_file, "--word", "phi",
                      "--word2", "bdry"]) == EXIT_OK

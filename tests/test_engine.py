@@ -334,8 +334,10 @@ class TestEncodingAlgebra:
 
 
 class TestKeyLemmaReplay:
-    """key_lemma_interval replays w N times; the reference route compiles
-    w^N as one word.  Both images bracket the same interval."""
+    """key_lemma_interval resumes w^N(gamma) from the orbit point the word
+    kept from the previous call; the reference routes compile w^N as one
+    word and bracket on a word with no orbit kept.  All three agree,
+    whatever order the calls on one word come in."""
 
     @pytest.mark.parametrize("fixture,gens,C", [
         ("torus_tri", [Generator.twist(TORUS_A), Generator.twist(TORUS_B)],
@@ -349,11 +351,24 @@ class TestKeyLemmaReplay:
     ])
     def test_matches_compiled_power(self, fixture, gens, C, request):
         tri = request.getfixturevalue(fixture)
+        arcs = enumerate_arcs(tri, C, 8)[:2]
+        # (probe arc, N) in call order: N growing, N out of order, and a
+        # second probe arc on the same word
+        for calls in (((0, 1), (0, 2), (0, 5), (0, 13)),
+                      ((0, 5), (0, 3), (0, 8)),
+                      ((0, 5), (1, 3), (1, 8), (0, 8))):
+            self._check_calls(tri, gens, C, arcs, calls)
+
+    @staticmethod
+    def _check_calls(tri, gens, C, arcs, calls):
         w = MappingClassWord(tri, gens)
-        gamma = enumerate_arcs(tri, C, 8)[0]
-        for N in (1, 2, 5, 13):
+        for (i, N) in calls:
+            gamma = arcs[i]
             ref = w.power(N).apply_arc(gamma)
             iv = key_lemma_interval(w, C, gamma, N)
+            assert w.orbit_arc(gamma, N) == ref
+            assert iv == key_lemma_interval(MappingClassWord(tri, gens), C,
+                                            gamma, N)
 
             def rel(m):
                 tm = MappingClassWord(tri, [Generator.boundary(C, m)])

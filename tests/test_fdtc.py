@@ -157,6 +157,53 @@ class TestKeyLemmaInterval:
             assert iv.contains(Fraction(1, 6))
             assert iv.is_point or iv.width() == Fraction(1, i + 1)
 
+    def test_translation_estimate_walks_orbit_once(self, torus_tri,
+                                                   monkeypatch):
+        applied = []
+        apply = MappingClassWord.apply
+
+        def counted(self, x):
+            applied.append(x)
+            return apply(self, x)
+
+        monkeypatch.setattr(MappingClassWord, "apply", counted)
+        w = MappingClassWord(torus_tri, [Generator.twist(TORUS_A),
+                                         Generator.twist(TORUS_B)])
+        assert len(translation_estimate(w, "S", 32)) == 32
+        assert len(applied) == 32
+
+    @pytest.mark.parametrize("fixture,letters,C", [
+        ("torus_tri", [Generator.twist(TORUS_A), Generator.twist(TORUS_B),
+                       Generator.boundary("S")], "S"),
+        ("two_holed_torus_tri", [Generator.twist(TWO_HOLED_A),
+                                 Generator.twist(TWO_HOLED_B),
+                                 Generator.twist(TWO_HOLED_C),
+                                 Generator.boundary("C1")], "C1"),
+        ("disc3_tri", [Generator.braid(1), Generator.braid(2)], "C"),
+    ])
+    def test_translation_estimate_matches_fresh_words(self, fixture, letters,
+                                                      C, request):
+        """A sweep resumes each bracket from the previous orbit point; each
+        bracket on a word with no orbit kept replays w^n(gamma) from
+        gamma."""
+        tri = request.getfixturevalue(fixture)
+        gamma = _first_probe_arc(tri, C)
+        letter = st.tuples(st.sampled_from(letters),
+                           st.sampled_from([1, -1, 2]))
+        words = st.lists(letter, min_size=1, max_size=4)
+
+        @settings(max_examples=50, deadline=None)
+        @given(words, st.integers(1, 12))
+        def check(word, N_max):
+            gens = [Generator(g.kind, p, g.curve, g.label, g.index)
+                    for (g, p) in word]
+            swept = translation_estimate(MappingClassWord(tri, gens), C, N_max)
+            assert swept == [key_lemma_interval(MappingClassWord(tri, gens),
+                                                C, gamma, n)
+                             for n in range(1, N_max + 1)]
+
+        check()
+
 
 class TestBraid:
     def test_half_twist_powers(self, disc2_tri):

@@ -99,6 +99,15 @@ class TestGroupAction:
         g = enumerate_arcs(torus_tri, "S", 5)[0]
         assert w.apply_arc(g).start == g.start
 
+    def test_orbit_arc_power_not_negative(self, torus_tri):
+        w = MappingClassWord(torus_tri, [Generator.twist(TORUS_A, 1)])
+        g = enumerate_arcs(torus_tri, "S", 5)[0]
+        assert w.orbit_arc(g, 0) == g
+        with pytest.raises(WordError):
+            w.orbit_arc(g, -1)
+        # a rejected power leaves the kept point w^0(g) in place
+        assert w.orbit_arc(g, 2) == w.power(2).apply_arc(g)
+
 
 class TestPuncturePermutation:
     def test_half_twist_swaps(self, disc3_tri):
