@@ -22,13 +22,16 @@ flips.  The orientation of the two triangles says which flip is the
 right-handed twist.  The braid generator sigma_i is built the same way
 around the curve enclosing punctures i and i+1, where the half twist is
 three flips next to the once-punctured monogon around one of them.
-Neither move involves a search beyond the shortening.  Applying the
+Neither move involves a search beyond the shortening.  Each letter is
+compiled once into (conjugator, core move, inverse conjugator), and its
+k-th power replays the core k times between the two.  Applying the
 script is pure big-integer arithmetic, which is what makes high twist
 powers on huge coordinates affordable.
 
-Only the twist along the boundary of a one-boundary surface, which has
-no annular position, is still reconstructed by a search from its action
-on probe arcs.
+Only the twist along the boundary of a one-boundary surface without
+punctures, which has no annular position, is still reconstructed by a
+search from its action on probe arcs.  That search and the shortening
+share one best-first loop over flips.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .surface import Triangulation
 from . import curves as _curves
 
 _SEARCH_CAP = 20000  # states explored when shortening a curve
+_PROBE_SEARCH_CAP = 200000  # states explored when reconstructing from probes
 
 
 def _renaming(perm):
@@ -169,25 +173,27 @@ def _canonical_key(tri: Triangulation):
     return tuple(sorted(out))
 
 
-def shorten_curve(tri: Triangulation, weights):
-    """Flip until the curve crosses exactly two edges once each.
-
-    Returns (flip Encoding F, short triangulation, short weights); F
-    transports coordinates from ``tri`` to the short triangulation.
-    Best-first search on total weight, so mild plateaus are crossed."""
-    w0 = tuple(weights)
-    start_total = sum(w0)
-    if start_total < 2:
-        raise CurveError("not an essential closed curve (empty coordinates)")
-    counter = 0
-    heap = [(start_total, 0, tri, w0, ())]
-    seen = {(_canonical_key(tri), w0)}
+def _flip_search(tri: Triangulation, v, done, rises: bool, cap: int,
+                 what: str):
+    """Best-first search from ``tri`` over flips, each replayed on every
+    edge_count block of the stacked weights ``v``, for a state where
+    ``done(triangulation, weights)``; returns its (flips, triangulation,
+    weights).  States pop by (total, push index), and the push index
+    names each state's parent.  Unless ``rises``, no flip raises the
+    total.  After ``cap`` states it raises ComputationError(``what``)."""
+    heap = [(sum(v), 0, tri, v)]
+    parents = [None]  # push index -> (parent's push index, flip)
+    seen = {(_canonical_key(tri), v)}
     explored = 0
-    while heap and explored < _SEARCH_CAP:
-        total, _c, cur, w, path = heapq.heappop(heap)
+    while heap and explored < cap:
+        total, i, cur, v = heapq.heappop(heap)
         explored += 1
-        if total == 2:
-            return Encoding(path), cur, w
+        if done(cur, v):
+            steps = []
+            while parents[i] is not None:
+                i, step = parents[i]
+                steps.append(step)
+            return steps[::-1], cur, v
         for e in range(cur.edge_count):
             if cur.is_boundary_edge(e):
                 continue
@@ -195,21 +201,33 @@ def shorten_curve(tri: Triangulation, weights):
                 nt, step = flip(cur, e)
             except TriangulationError:
                 continue
-            nw = _flip_blocks(step, w, len(w))
-            if nw is None:
+            nv = _flip_blocks(step, v, tri.edge_count)
+            if nv is None or (not rises and sum(nv) > total):
                 continue
-            key = (_canonical_key(nt), nw)
+            key = (_canonical_key(nt), nv)
             if key in seen:
                 continue
             seen.add(key)
-            counter += 1
-            heapq.heappush(
-                heap, (sum(nw), counter, nt, nw, path + (step,))
-            )
-    raise ComputationError(
+            parents.append((i, step))
+            heapq.heappush(heap, (sum(nv), len(parents) - 1, nt, nv))
+    raise ComputationError("%s after %d states (cap %d)"
+                           % (what, explored, cap))
+
+
+def shorten_curve(tri: Triangulation, weights):
+    """Flip until the curve crosses exactly two edges once each.
+
+    Returns (flip Encoding F, short triangulation, short weights); F
+    transports coordinates from ``tri`` to the short triangulation.
+    Best-first search on total weight, so mild plateaus are crossed."""
+    w0 = tuple(weights)
+    if sum(w0) < 2:
+        raise CurveError("not an essential closed curve (empty coordinates)")
+    steps, short_tri, short_w = _flip_search(
+        tri, w0, lambda cur, w: sum(w) == 2, True, _SEARCH_CAP,
         "could not shorten the curve to an annular position "
-        "(is it essential and connected?)"
-    )
+        "(is it essential and connected?)")
+    return Encoding(steps), short_tri, short_w
 
 
 def _core_twist(short_tri: Triangulation, short_w) -> Encoding:
@@ -319,8 +337,7 @@ def derive_relabel_to(src: Triangulation, dst: Triangulation):
     return tuple(perm)
 
 
-def encoding_from_probe_images(tri: Triangulation, probes, images,
-                               cap: int = 200000) -> Encoding:
+def encoding_from_probe_images(tri: Triangulation, probes, images) -> Encoding:
     """Replay script for the mapping class sending each probe arc class
     to the given image, both in coordinates on ``tri``.
 
@@ -336,97 +353,44 @@ def encoding_from_probe_images(tri: Triangulation, probes, images,
     target = sum(stacked0)
     m = tri.edge_count
 
-    def goal(cur, v):
+    def done(cur, v):
         if sum(v) != target:
-            return None
+            return False
         perm = derive_relabel_to(cur, tri)
-        if perm is not None and all(
-                v[j + old] == stacked0[j + new]
-                for j in range(0, len(v), m) for old, new in enumerate(perm)):
-            return perm
-        return None
+        return perm is not None and all(
+            v[j + old] == stacked0[j + new]
+            for j in range(0, len(v), m) for old, new in enumerate(perm))
 
-    counter = 0
-    heap = [(sum(stacked), 0, tri, stacked, ())]
-    seen = {(_canonical_key(tri), stacked)}
-    explored = 0
-    while heap and explored < cap:
-        total, _c, cur, v, path = heapq.heappop(heap)
-        explored += 1
-        perm = goal(cur, v)
-        if perm is not None:
-            # path then perm maps w(phi(gamma)) back to w(gamma); invert it
-            return Encoding(path, perm).inverted()
-        for e in range(cur.edge_count):
-            if cur.is_boundary_edge(e):
-                continue
-            try:
-                nt, fs = flip(cur, e)
-            except TriangulationError:
-                continue
-            nv = _flip_blocks(fs, v, m)
-            if nv is None or sum(nv) > total:
-                continue
-            key = (_canonical_key(nt), nv)
-            if key in seen:
-                continue
-            seen.add(key)
-            counter += 1
-            heapq.heappush(heap, (sum(nv), counter, nt, nv, path + (fs,)))
-    raise ComputationError(
-        "could not reconstruct a mapping class from the probe images "
-        "(search budget exhausted)"
-    )
+    steps, cur, _ = _flip_search(
+        tri, stacked, done, False, _PROBE_SEARCH_CAP,
+        "could not reconstruct a mapping class from the probe images")
+    # the flips then the renaming map w(phi(gamma)) back to w(gamma)
+    return Encoding(steps, derive_relabel_to(cur, tri)).inverted()
 
 
-def boundary_twist_encoding(tri: Triangulation, label: str,
-                            power: int = 1) -> Encoding:
-    """Replay script for the ``power``-th power of the positive Dehn
-    twist along the curve parallel to boundary component ``label``.
+def _probe_twist(tri: Triangulation, label: str) -> Encoding:
+    """The positive twist along boundary component ``label``,
+    reconstructed from the collar drags of the probe arcs of weight at
+    most 8 and checked on those of weight at most 10.  A smaller family
+    might not fill the surface and so admit other mapping classes with
+    the same images."""
+    def arcs(bound):
+        return [g for lab in sorted(tri.base_edge_of)
+                for g in _curves.enumerate_arcs(tri, lab, bound)]
 
-    Such curves have no annular flip position (every vertex sits on the
-    collar side), so the script is derived instead from the twist's
-    action on a probe family of boundary-based arcs: each arc is dragged
-    once around the collar and the unique mapping class with those
-    images is reconstructed."""
-    if power == 0:
-        return Encoding([])
-    cache = tri._cache.setdefault("boundary_twist_encodings", {})
-    if label not in cache:
-        core = None
-        # a too-small probe family may fail to fill the surface and admit
-        # several mapping classes with the same images; grow it until the
-        # reconstruction also predicts the next larger family correctly
-        for bound in (8, 10, 12, 14, 16):
-            probes = []
-            for lab in sorted(tri.base_edge_of):
-                probes.extend(_curves.enumerate_arcs(tri, lab, bound))
-            if not probes:
-                raise CurveError("no probe arcs on %r" % (label,))
-            check = []
-            for lab in sorted(tri.base_edge_of):
-                check.extend(_curves.enumerate_arcs(tri, lab, bound + 2))
-            images = {
-                g: _curves.boundary_drag(
-                    g, label, POSITIVE_DRAG_DIRECTION
-                ).coords.weights
-                for g in check
-            }
-            core = encoding_from_probe_images(
-                tri,
-                [g.coords.weights for g in probes],
-                [images[g] for g in probes],
-            )
-            if all(core.forward(g.coords.weights) == images[g] for g in check):
-                break
-            core = None
-        if core is None:
-            raise ComputationError(
-                "boundary twist reconstruction kept disagreeing with the "
-                "collar drag on held-out arcs"
-            )
-        cache[label] = core
-    return cache[label].power(power)
+    probes = arcs(8)
+    if not probes:
+        raise CurveError("no probe arcs on %r" % (label,))
+    check = arcs(10)
+    images = {g: _curves.boundary_drag(g, label, POSITIVE_DRAG_DIRECTION)
+              .coords.weights for g in check}
+    core = encoding_from_probe_images(
+        tri, [g.coords.weights for g in probes], [images[g] for g in probes])
+    if any(core.forward(g.coords.weights) != images[g] for g in check):
+        raise ComputationError(
+            "the boundary twist reconstructed from the probe arcs of weight "
+            "<= 8 disagrees with the collar drag on those of weight <= 10")
+    return core
 
 
 def puncture_order(tri: Triangulation):
@@ -460,6 +424,67 @@ def pair_curve_weights(tri: Triangulation, i: int):
     return tuple(w)
 
 
+def _collar_only(tri: Triangulation) -> bool:
+    """One boundary and no punctures: every vertex lies on the collar side
+    of the boundary-parallel curve, which so has no annular position."""
+    return len(tri.base_edge_of) == 1 and not tri.surface.puncture_count
+
+
+def _letter(tri: Triangulation, key):
+    """(conj, core, conj^-1) of the letter ``key``, ("twist", weights),
+    ("boundary", label) or ("braid", i): the core move and the flips that
+    bring the letter's curve into its annular position (none for a twist
+    reconstructed from probes).  Compiled once and kept for every power."""
+    letters = tri._cache.setdefault("letters", {})
+    if key not in letters:
+        letters[key] = _compile_letter(tri, *key)
+    return letters[key]
+
+
+def _compile_letter(tri: Triangulation, kind: str, x):
+    empty = Encoding(())
+    if kind == "braid":
+        conj, short_tri, short_w = shorten_curve(tri, pair_curve_weights(tri, x))
+        return conj, _core_half_twist(short_tri, short_w), conj.inverted()
+    if kind == "boundary":
+        if _collar_only(tri):
+            return empty, _probe_twist(tri, x), empty
+        return _letter(tri, (
+            "twist", _curves.boundary_parallel_curve(tri, x).weights))
+    coords = _curves.NormalCoordinates(tri, x)
+    if _curves.is_puncture_parallel(coords):
+        return empty, empty, empty
+    if _collar_only(tri):
+        (lab,) = tri.base_edge_of
+        if x == _curves.boundary_parallel_curve(tri, lab).weights:
+            return _letter(tri, ("boundary", lab))
+    comps = _curves.trace_components(coords)
+    if len(comps) != 1 or comps[0]["type"] != "closed":
+        raise CurveError("twist curves must be single closed curves")
+    conj, short_tri, short_w = shorten_curve(tri, x)
+    return conj, _core_twist(short_tri, short_w), conj.inverted()
+
+
+def _power(tri: Triangulation, key, k: int) -> Encoding:
+    """The k-th power of the letter ``key``: conj, core^k, conj^-1."""
+    if k == 0:
+        return Encoding(())
+    conj, core, conj_inv = _letter(tri, key)
+    return conj + core.power(k) + conj_inv
+
+
+def boundary_twist_encoding(tri: Triangulation, label: str,
+                            power: int = 1) -> Encoding:
+    """Replay script for the ``power``-th power of the positive Dehn
+    twist along the curve parallel to boundary component ``label``.
+
+    On a one-boundary surface without punctures that curve has no
+    annular position, and the twist is reconstructed from its action on
+    probe arcs (``_probe_twist``); anywhere else it is the twist along
+    the curve, built like any other."""
+    return _power(tri, ("boundary", label), power)
+
+
 def half_twist_encoding(tri: Triangulation, i: int, power: int = 1) -> Encoding:
     """Replay script for the ``power``-th power of the positive half
     twist swapping punctures i and i+1 (the braid generator sigma_i).
@@ -468,13 +493,7 @@ def half_twist_encoding(tri: Triangulation, i: int, power: int = 1) -> Encoding:
     its annular position, make the three-flip move of
     ``_core_half_twist`` there, and conjugate back.  Its square is the
     positive Dehn twist along that curve."""
-    if power == 0:
-        return Encoding([])
-    cache = tri._cache.setdefault("half_twist_encodings", {})
-    if i not in cache:
-        conj, short_tri, short_w = shorten_curve(tri, pair_curve_weights(tri, i))
-        cache[i] = conj + _core_half_twist(short_tri, short_w) + conj.inverted()
-    return cache[i].power(power)
+    return _power(tri, ("braid", i), power)
 
 
 def twist_encoding(tri: Triangulation, curve_weights, power: int = 1) -> Encoding:
@@ -488,27 +507,7 @@ def twist_encoding(tri: Triangulation, curve_weights, power: int = 1) -> Encodin
     empty script.
     """
     w = tuple(curve_weights)
-    coords = _curves.NormalCoordinates(tri, w)
-    if not _curves.is_matching(coords):
-        raise CurveError("curve weights violate the matching conditions")
-    if _curves.is_puncture_parallel(coords) or power == 0:
-        return Encoding(())
-    if len(tri.base_edge_of) == 1:
-        # with a single boundary component and no punctures every vertex
-        # lies on the collar side of the boundary-parallel curve, which
-        # then has no annular flip position; the collar-drag route works
-        # in all single-boundary cases, so use it uniformly
-        (lab,) = tri.base_edge_of
-        if w == _curves.boundary_parallel_curve(tri, lab).weights:
-            return boundary_twist_encoding(tri, lab, power)
-    cache = tri._cache.setdefault("twist_encodings", {})
-    if w in cache:
-        core, conj = cache[w]
-    else:
-        comps = _curves.trace_components(coords)
-        if len(comps) != 1 or comps[0]["type"] != "closed":
-            raise CurveError("twist curves must be single closed curves")
-        conj, short_tri, short_w = shorten_curve(tri, w)
-        core = _core_twist(short_tri, short_w)
-        cache[w] = (core, conj)
-    return conj + core.power(power) + conj.inverted()
+    if ("twist", w) not in tri._cache.get("letters", {}):
+        if not _curves.is_matching(_curves.NormalCoordinates(tri, w)):
+            raise CurveError("curve weights violate the matching conditions")
+    return _power(tri, ("twist", w), power)

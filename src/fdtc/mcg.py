@@ -150,8 +150,7 @@ class MappingClassWord:
         if g.kind == "twist":
             return engine.twist_encoding(tri, g.curve, g.power)
         if g.kind == "boundary":
-            w = curves.boundary_parallel_curve(tri, g.label).weights
-            return engine.twist_encoding(tri, w, g.power)
+            return engine.boundary_twist_encoding(tri, g.label, g.power)
         return engine.half_twist_encoding(tri, g.index, g.power)
 
     def apply(self, x: curves.NormalCoordinates) -> curves.NormalCoordinates:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,30 @@ class TestBoundaryTwistDualRoute:
                 dragged = boundary_drag(g, lab, 1)
                 assert enc.forward(g.coords.weights) == dragged.coords.weights
 
+    @pytest.mark.parametrize("genus,punctures", [(1, 1), (0, 4), (2, 1)])
+    def test_punctured_needs_no_probe_search(self, genus, punctures,
+                                             monkeypatch):
+        # with a puncture the boundary-parallel curve has an annular
+        # position, so the boundary letter is an ordinary twist
+        def fail(*args, **kwargs):
+            raise AssertionError("probe-image search reached")
+
+        monkeypatch.setattr(engine, "encoding_from_probe_images", fail)
+        tri = standard_triangulation(SurfaceSpec(genus, ("S",), punctures))
+        enc = MappingClassWord(tri, [Generator.boundary("S")]).encoding()
+        probes = enumerate_arcs(tri, "S", 8)
+        assert probes
+        for g in probes:
+            dragged = boundary_drag(g, "S", engine.POSITIVE_DRAG_DIRECTION)
+            assert enc.forward(g.coords.weights) == dragged.coords.weights
+
+    def test_probe_family_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "encoding_from_probe_images",
+                            lambda tri, probes, images: engine.Encoding(()))
+        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        with pytest.raises(ComputationError, match="<= 8.*<= 10"):
+            engine.boundary_twist_encoding(tri, "S")
+
     def test_two_boundary_components_commute(self, two_holed_torus_tri):
         tri = two_holed_torus_tri
         e1 = engine.twist_encoding(
@@ -171,6 +196,17 @@ class TestHalfTwists:
         assert _moves_some(disc2_tri, pair, 8)
         for w in _probe_weights(disc2_tri, 8):
             assert si.forward(s.forward(w)) == w
+
+    def test_power_conjugates_once(self, disc3_tri):
+        # sigma_1^6 is conj, six half twists in the annular position, then
+        # conj^-1, not six copies of the conjugated half twist
+        conj, _, _ = engine.shorten_curve(
+            disc3_tri, engine.pair_curve_weights(disc3_tri, 1))
+        s1 = engine.half_twist_encoding(disc3_tri, 1)
+        s6 = engine.half_twist_encoding(disc3_tri, 1, 6)
+        assert len(s6.steps) == 2 * len(conj.steps) + 18 == 30
+        for w in _probe_weights(disc3_tri, 8):
+            assert s6.forward(w) == _replay(s1, 6, w)
 
 
 # (genus, boundary labels, punctures, probe bound), with a bound at which
@@ -256,6 +292,58 @@ class TestShortenCurve:
     def test_roundtrip(self, torus_tri):
         conj, tri2, w2 = engine.shorten_curve(torus_tri, TORUS_B)
         assert conj.inverted().forward(w2) == TORUS_B
+
+    def test_heavy_curve_memory(self, torus_tri):
+        # the search keeps one parent pointer per state, not its whole path
+        t1000 = engine.twist_encoding(torus_tri, TORUS_A, 1000)
+        heavy = t1000.forward(TORUS_B)
+        assert sum(heavy) == 3000
+        tracemalloc.start()
+        try:
+            conj, _, w2 = engine.shorten_curve(torus_tri, heavy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert conj.forward(heavy) == w2
+        assert peak < 12 * 2 ** 20
+
+    def test_budget_error_names_cap(self, torus_tri, monkeypatch):
+        monkeypatch.setattr(engine, "_SEARCH_CAP", 5)
+        heavy = engine.twist_encoding(torus_tri, TORUS_A, 10).forward(TORUS_B)
+        with pytest.raises(ComputationError,
+                           match=r"after 5 states \(cap 5\)"):
+            engine.shorten_curve(torus_tri, heavy)
+
+    def test_probe_budget_error_names_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PROBE_SEARCH_CAP", 5)
+        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        with pytest.raises(ComputationError,
+                           match=r"after 5 states \(cap 5\)"):
+            engine.boundary_twist_encoding(tri, "S")
+
+
+class TestLetterCache:
+    def test_hit_skips_checks_and_search(self, monkeypatch):
+        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        first = engine.twist_encoding(tri, TORUS_A, 3)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("compiled again")
+
+        monkeypatch.setattr(curves, "is_matching", fail)
+        monkeypatch.setattr(engine, "shorten_curve", fail)
+        again = engine.twist_encoding(tri, TORUS_A, 3)
+        assert (again.steps, again.perm) == (first.steps, first.perm)
+        assert engine.twist_encoding(tri, TORUS_A, 0).steps == ()
+
+    def test_power_zero_checks_matching(self, torus_tri):
+        with pytest.raises(CurveError):
+            engine.twist_encoding(torus_tri, (1, 0, 0, 0, 0), 0)
+        # a multicurve is only rejected when a twist is compiled
+        double = tuple(2 * x for x in TORUS_A)
+        assert engine.twist_encoding(torus_tri, double, 0).steps == ()
+        with pytest.raises(CurveError):
+            engine.twist_encoding(torus_tri, double)
 
 
 def _letters(tri, fixture):
