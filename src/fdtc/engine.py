@@ -28,10 +28,11 @@ k-th power replays the core k times between the two.  Applying the
 script is pure big-integer arithmetic, which is what makes high twist
 powers on huge coordinates affordable.
 
-Only the twist along the boundary of a one-boundary surface without
-punctures, which has no annular position, is still reconstructed by a
-search from its action on probe arcs.  That search and the shortening
-share one best-first loop over flips.
+The twist along a boundary component that is a single edge, whose curve
+has no annular position on a one-boundary surface without punctures,
+turns the component's marked point once around it by fixed flips.  No
+letter is reconstructed from probe images; ``encoding_from_probe_images``
+remains as the tests' reference.
 """
 
 from __future__ import annotations
@@ -270,6 +271,28 @@ def _core_half_twist(short_tri: Triangulation, short_w) -> Encoding:
     raise ComputationError("no once-punctured monogon next to the pair curve")
 
 
+def _boundary_rotation(tri: Triangulation, label: str) -> Encoding:
+    """The positive twist along boundary component ``label``, a single
+    edge B with both ends at one marked point v: v turned once around
+    the boundary.  Each flip of the side before B in the triangle on B
+    turns the fan at v by one corner; one per corner at v outside the
+    first triangle, then the renaming onto ``tri``.  A renaming can
+    exist sooner (on S_{1,1} after every flip), but those are roots of
+    the twist."""
+    b = tri.base_edge_of[label]
+    ((t, k),) = tri.incidences[b]
+    voc = tri.vertex_of_corner
+    v = voc[(t, k)]
+    turns = len(tri.vertices[v]["corners"]) - sum(
+        voc[(t, j)] == v for j in range(3))
+    cur, steps = tri, []
+    for _ in range(turns):
+        ((t, k),) = cur.incidences[b]
+        cur, step = flip(cur, cur.triangles[t][(k + 2) % 3][0])
+        steps.append(step)
+    return _closed(tri, cur, steps, "boundary rotation")
+
+
 def _closed(short_tri, flipped, steps, what) -> Encoding:
     """The flips followed by the renaming that identifies ``flipped``
     with ``short_tri`` again."""
@@ -368,31 +391,6 @@ def encoding_from_probe_images(tri: Triangulation, probes, images) -> Encoding:
     return Encoding(steps, derive_relabel_to(cur, tri)).inverted()
 
 
-def _probe_twist(tri: Triangulation, label: str) -> Encoding:
-    """The positive twist along boundary component ``label``,
-    reconstructed from the collar drags of the probe arcs of weight at
-    most 8 and checked on those of weight at most 10.  A smaller family
-    might not fill the surface and so admit other mapping classes with
-    the same images."""
-    def arcs(bound):
-        return [g for lab in sorted(tri.base_edge_of)
-                for g in _curves.enumerate_arcs(tri, lab, bound)]
-
-    probes = arcs(8)
-    if not probes:
-        raise CurveError("no probe arcs on %r" % (label,))
-    check = arcs(10)
-    images = {g: _curves.boundary_drag(g, label, POSITIVE_DRAG_DIRECTION)
-              .coords.weights for g in check}
-    core = encoding_from_probe_images(
-        tri, [g.coords.weights for g in probes], [images[g] for g in probes])
-    if any(core.forward(g.coords.weights) != images[g] for g in check):
-        raise ComputationError(
-            "the boundary twist reconstructed from the probe arcs of weight "
-            "<= 8 disagrees with the collar drag on those of weight <= 10")
-    return core
-
-
 def puncture_order(tri: Triangulation):
     """Puncture vertex ids in the order the punctures were created, which
     is the order the braid generators index them."""
@@ -424,17 +422,11 @@ def pair_curve_weights(tri: Triangulation, i: int):
     return tuple(w)
 
 
-def _collar_only(tri: Triangulation) -> bool:
-    """One boundary and no punctures: every vertex lies on the collar side
-    of the boundary-parallel curve, which so has no annular position."""
-    return len(tri.base_edge_of) == 1 and not tri.surface.puncture_count
-
-
 def _letter(tri: Triangulation, key):
     """(conj, core, conj^-1) of the letter ``key``, ("twist", weights),
     ("boundary", label) or ("braid", i): the core move and the flips that
-    bring the letter's curve into its annular position (none for a twist
-    reconstructed from probes).  Compiled once and kept for every power."""
+    bring the letter's curve into its annular position (none for a
+    boundary rotation).  Compiled once and kept for every power."""
     letters = tri._cache.setdefault("letters", {})
     if key not in letters:
         letters[key] = _compile_letter(tri, *key)
@@ -447,16 +439,20 @@ def _compile_letter(tri: Triangulation, kind: str, x):
         conj, short_tri, short_w = shorten_curve(tri, pair_curve_weights(tri, x))
         return conj, _core_half_twist(short_tri, short_w), conj.inverted()
     if kind == "boundary":
-        if _collar_only(tri):
-            return empty, _probe_twist(tri, x), empty
-        return _letter(tri, (
-            "twist", _curves.boundary_parallel_curve(tri, x).weights))
+        if x not in tri.base_edge_of:
+            raise CurveError("no boundary component %r" % (x,))
+        if len(tri.boundary_cycles[x]) == 1:
+            return empty, _boundary_rotation(tri, x), empty
+        bp = _curves.boundary_parallel_curve(tri, x).weights
+        if not any(bp):  # the bare disc
+            return empty, empty, empty
+        return _letter(tri, ("twist", bp))
     coords = _curves.NormalCoordinates(tri, x)
     if _curves.is_puncture_parallel(coords):
         return empty, empty, empty
-    if _collar_only(tri):
-        (lab,) = tri.base_edge_of
-        if x == _curves.boundary_parallel_curve(tri, lab).weights:
+    for lab, cycle in tri.boundary_cycles.items():
+        if len(cycle) == 1 and (
+                x == _curves.boundary_parallel_curve(tri, lab).weights):
             return _letter(tri, ("boundary", lab))
     comps = _curves.trace_components(coords)
     if len(comps) != 1 or comps[0]["type"] != "closed":
@@ -478,10 +474,10 @@ def boundary_twist_encoding(tri: Triangulation, label: str,
     """Replay script for the ``power``-th power of the positive Dehn
     twist along the curve parallel to boundary component ``label``.
 
-    On a one-boundary surface without punctures that curve has no
-    annular position, and the twist is reconstructed from its action on
-    probe arcs (``_probe_twist``); anywhere else it is the twist along
-    the curve, built like any other."""
+    A component that is one edge is turned once around
+    (``_boundary_rotation``); the disc's three-edge component is twisted
+    along the curve like any other, or not at all when that curve bounds
+    at most one puncture.  Unknown labels raise CurveError."""
     return _power(tri, ("boundary", label), power)
 
 

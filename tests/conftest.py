@@ -21,6 +21,17 @@ GENUS2_CHAIN = (
     (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
 )
 
+# a 6-chain on the standard genus-3 one-boundary triangulation; the
+# product of its twists has coefficient 1/14
+GENUS3_CHAIN = (
+    (1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (1, 1, 1, 0, 0, 0, 0, 0, 1, 2, 1, 1, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 2, 1, 1, 0),
+    (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0),
+)
+
 
 @pytest.fixture(scope="session")
 def torus_tri():

@@ -18,7 +18,7 @@ from fdtc.curves import (
     is_matching,
 )
 from conftest import (
-    TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C,
+    GENUS3_CHAIN, TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C,
 )
 
 
@@ -135,13 +135,6 @@ class TestBoundaryTwistDualRoute:
             dragged = boundary_drag(g, "S", engine.POSITIVE_DRAG_DIRECTION)
             assert enc.forward(g.coords.weights) == dragged.coords.weights
 
-    def test_probe_family_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(engine, "encoding_from_probe_images",
-                            lambda tri, probes, images: engine.Encoding(()))
-        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
-        with pytest.raises(ComputationError, match="<= 8.*<= 10"):
-            engine.boundary_twist_encoding(tri, "S")
-
     def test_two_boundary_components_commute(self, two_holed_torus_tri):
         tri = two_holed_torus_tri
         e1 = engine.twist_encoding(
@@ -215,11 +208,11 @@ BRAID_DISCS = [(0, ("C",), 3, 8), (0, ("C",), 4, 8), (0, ("C",), 5, 10),
                (0, ("C",), 6, 10)]
 
 
-def _braid_id(p):
+def _surface_id(p):
     return "g%d_d%d_n%d" % (p[0], len(p[1]), p[2])
 
 
-@pytest.fixture(scope="module", ids=_braid_id,
+@pytest.fixture(scope="module", ids=_surface_id,
                 params=BRAID_DISCS + [(1, ("C1", "C2"), 3, 14)])
 def braid_surface(request):
     g, labels, n, bound = request.param
@@ -251,7 +244,7 @@ class TestBraidGenerators:
                 else:
                     assert _equal_on_probes(tri, a + b, b + a, bound)
 
-    @pytest.mark.parametrize("braid_surface", BRAID_DISCS, ids=_braid_id,
+    @pytest.mark.parametrize("braid_surface", BRAID_DISCS, ids=_surface_id,
                              indirect=True)
     def test_full_twist_is_boundary_drag(self, braid_surface):
         # on a disc (sigma_1 ... sigma_{n-1})^n is the boundary twist
@@ -280,6 +273,100 @@ class TestTwistHandedness:
         tha = engine.twist_encoding(tri, h.forward(GENUS3_DEEP))
         assert _moves_some(tri, tha, 8)
         assert _equal_on_probes(tri, h.inverted() + ta + h, tha, bound=8)
+
+
+def _no_probe_search(*args, **kwargs):
+    raise AssertionError("probe-image search reached")
+
+
+# (genus, boundary labels, punctures): every boundary component of these
+# standard triangulations is a single edge
+ROTATION_SURFACES = [
+    (1, ("S",), 0), (2, ("S",), 0), (3, ("S",), 0), (4, ("S",), 0),
+    (1, ("C1", "C2"), 0), (2, ("C1", "C2"), 0), (0, ("C1", "C2", "C3"), 0),
+    (0, ("C1", "C2"), 0), (1, ("S",), 1), (1, ("S",), 2), (2, ("S",), 1),
+    (1, ("C1", "C2"), 1),
+]
+
+
+class TestBoundaryRotation:
+    """Boundary letters of single-edge components are built by turning
+    the component's marked point once around it: no search."""
+
+    @pytest.fixture(autouse=True)
+    def no_probe_search(self, monkeypatch):
+        monkeypatch.setattr(engine, "encoding_from_probe_images",
+                            _no_probe_search)
+
+    @pytest.mark.parametrize("spec", ROTATION_SURFACES, ids=_surface_id)
+    def test_is_collar_drag(self, spec):
+        tri = standard_triangulation(SurfaceSpec(*spec))
+        probes = [g for lab in sorted(tri.base_edge_of)
+                  for g in enumerate_arcs(tri, lab, 10)]
+        assert probes
+        for lab in sorted(tri.base_edge_of):
+            for sign in (1, -1):
+                enc = engine.boundary_twist_encoding(tri, lab, sign)
+                for g in probes:
+                    dragged = boundary_drag(
+                        g, lab, sign * engine.POSITIVE_DRAG_DIRECTION)
+                    assert enc.forward(g.coords.weights) == \
+                        dragged.coords.weights, (lab, sign)
+            # a twist along the boundary-parallel curve is the same letter
+            bp = boundary_parallel_curve(tri, lab).weights
+            twist = engine.twist_encoding(tri, bp)
+            enc = engine.boundary_twist_encoding(tri, lab)
+            assert (twist.steps, twist.perm) == (enc.steps, enc.perm)
+        # nor does any braid letter
+        for i in range(1, tri.surface.puncture_count):
+            engine.half_twist_encoding(tri, i)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    def test_flip_count(self, genus):
+        tri = standard_triangulation(SurfaceSpec(genus, ("S",)))
+        enc = engine.boundary_twist_encoding(tri, "S")
+        assert len(enc.steps) == 12 * genus - 6
+
+    def test_commutes_with_twist_words_on_genus3(self):
+        tri = standard_triangulation(SurfaceSpec(3, ("S",)))
+        tb = engine.boundary_twist_encoding(tri, "S")
+        twists = [engine.twist_encoding(tri, c, p)
+                  for c in GENUS3_CHAIN + (GENUS3_LINK,) for p in (1, -1)]
+        # the first two chain curves are crossed by no short probe arc;
+        # words mix them with curves that are
+        assert all(_moves_some(tri, t, 12) for t in twists[4:])
+        rng = random.Random(3)
+        for _ in range(20):
+            word = sum(rng.choices(twists, k=rng.randint(1, 6)),
+                       engine.Encoding(()))
+            assert _equal_on_probes(tri, tb + word, word + tb, bound=12)
+
+    @pytest.mark.parametrize("spec", [(1, ("S",), 0), (1, ("C1", "C2"), 0),
+                                      (0, ("C",), 1), (0, ("C",), 3),
+                                      (0, ("C",), 0)], ids=_surface_id)
+    def test_unknown_label_raises(self, spec):
+        tri = standard_triangulation(SurfaceSpec(*spec))
+        with pytest.raises(CurveError, match="'X'"):
+            engine.boundary_twist_encoding(tri, "X")
+
+    def test_bare_disc_is_trivial(self):
+        tri = standard_triangulation(SurfaceSpec(0, ("C",)))
+        enc = engine.boundary_twist_encoding(tri, "C", 3)
+        assert (enc.steps, enc.perm) == ((), None)
+
+
+@pytest.mark.parametrize("genus,bound", [(1, 8), (2, 6)])
+def test_rotation_matches_probe_search(genus, bound):
+    # the probe-image search, fed the collar drags of the probe arcs,
+    # is the reference; both must act alike on heavier arcs too
+    tri = standard_triangulation(SurfaceSpec(genus, ("S",)))
+    probes = enumerate_arcs(tri, "S", bound)
+    ref = engine.encoding_from_probe_images(
+        tri, [g.coords.weights for g in probes],
+        [boundary_drag(g, "S", engine.POSITIVE_DRAG_DIRECTION).coords.weights
+         for g in probes])
+    enc = engine.boundary_twist_encoding(tri, "S")
+    assert _equal_on_probes(tri, enc, ref, bound=10)
 
 
 class TestShortenCurve:
@@ -317,9 +404,12 @@ class TestShortenCurve:
     def test_probe_budget_error_names_cap(self, monkeypatch):
         monkeypatch.setattr(engine, "_PROBE_SEARCH_CAP", 5)
         tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        probes = enumerate_arcs(tri, "S", 8)
         with pytest.raises(ComputationError,
                            match=r"after 5 states \(cap 5\)"):
-            engine.boundary_twist_encoding(tri, "S")
+            engine.encoding_from_probe_images(
+                tri, [g.coords.weights for g in probes],
+                [boundary_drag(g, "S", 1).coords.weights for g in probes])
 
 
 class TestLetterCache:

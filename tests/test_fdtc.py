@@ -28,7 +28,8 @@ from fdtc.fdtc import (
     unique_bounded_denominator,
 )
 from conftest import (
-    GENUS2_CHAIN, TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C,
+    GENUS2_CHAIN, GENUS3_CHAIN, TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B,
+    TWO_HOLED_C,
 )
 
 
@@ -91,6 +92,10 @@ class TestFareySearch:
         assert val is None and err["status"] == "empty"
 
 
+def _no_probe_search(*args, **kwargs):
+    raise AssertionError("probe-image search reached")
+
+
 class TestBoundaryCalibration:
     def test_torus_boundary_powers(self, torus_tri):
         for k in (-2, -1, 0, 1, 2):
@@ -110,6 +115,24 @@ class TestBoundaryCalibration:
                              [Generator.boundary("C1", 2)])
         assert fdtc_exact(w, "C1").value == 2
         assert fdtc_exact(w, "C2").value == 0
+
+    def test_genus3_chain_and_shift(self, monkeypatch):
+        # boundary letters are built, not searched for
+        monkeypatch.setattr(engine, "encoding_from_probe_images",
+                            _no_probe_search)
+        tri = standard_triangulation(SurfaceSpec(3, ("S",)))
+        chain = [Generator.twist(c) for c in GENUS3_CHAIN]
+        w = MappingClassWord(tri, chain)
+        assert fdtc_exact(w, "S").value == Fraction(1, 14)
+        shifted = MappingClassWord(tri, [Generator.boundary("S", -3)] + chain)
+        assert fdtc_exact(shifted, "S").value == Fraction(-41, 14)
+
+    def test_genus4_boundary_power(self, monkeypatch):
+        monkeypatch.setattr(engine, "encoding_from_probe_images",
+                            _no_probe_search)
+        tri = standard_triangulation(SurfaceSpec(4, ("S",)))
+        w = MappingClassWord(tri, [Generator.boundary("S", -5)])
+        assert fdtc_exact(w, "S").value == -5
 
 
 class TestChainRelationValue:
@@ -353,9 +376,9 @@ class TestBoundaryPowerClosedForm:
 
     def test_genus2_chain_needs_no_boundary_twist(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("probe-image search reached")
+            raise AssertionError("boundary twist compiled")
 
-        monkeypatch.setattr(engine, "encoding_from_probe_images", fail)
+        monkeypatch.setattr(engine, "boundary_twist_encoding", fail)
         tri = standard_triangulation(SurfaceSpec(2, ("S",)))
         w = MappingClassWord(tri, [Generator.twist(c) for c in GENUS2_CHAIN])
         assert fdtc_exact(w, "S").value == Fraction(1, 10)
