@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import enum
-from itertools import cycle
 
 from .errors import CurveError, MatchingError, ComputationError
 from .surface import Triangulation
@@ -192,6 +191,15 @@ def tighten(c: NormalCoordinates) -> NormalCoordinates:
 # is the number of triangle passages it may make; when it runs out,
 # ``_walk`` simply stops and ``_lockstep`` returns None, and the caller
 # decides whether that is an error.
+#
+# A strand spiralling around a boundary component repeats one collar loop
+# of passages, the periodic part of ``_boundary_wrap``.  The collar is an
+# annulus, so one lap moves the strand's entry position q by a constant,
+# q -> q + B, and the positions that complete a lap form a range [lo, hi);
+# one pass over the loop reads both off (``_lap_map``), and the number of
+# whole laps is one integer division.  ``_lockstep`` jumps over the whole
+# laps that both strands make together, counting the skipped passages
+# against its budget, so a spiral costs one pass instead of one per lap.
 
 _NEXT = (1, 2, 0)
 _PREV = (2, 0, 1)
@@ -249,7 +257,9 @@ def _lockstep(a: NormalCoordinates, b: NormalCoordinates, t: int, k: int,
     wa, wb = a.weights, b.weights
     triangles = a.tri.triangles
     gluing = _gluing(a.tri)
-    for _ in range(budget):
+    entries = _collar_entries(a.tri)
+    while budget > 0:
+        budget -= 1
         sides = triangles[t]
         e0 = sides[k][0]
         e1 = sides[_NEXT[k]][0]
@@ -274,7 +284,83 @@ def _lockstep(a: NormalCoordinates, b: NormalCoordinates, t: int, k: int,
             e = sides[k2][0]
             qa = wa[e] - 1 - qa
             qb = wb[e] - 1 - qb
+        for loop in entries[t][k]:
+            # both strands enter a collar loop: skip the whole laps they
+            # make together; a budget that runs out in them ends the walk
+            cap = budget // len(loop) + 1
+            laps_a, shift_a = _lap_map(wa, loop, qa, cap)
+            laps_b, shift_b = _lap_map(wb, loop, qb, cap) if laps_a else (0, 0)
+            if laps_a and laps_b:
+                laps = min(laps_a, laps_b)
+                budget -= laps * len(loop)
+                qa += laps * shift_a
+                qb += laps * shift_b
+                break
     return None
+
+
+def _lap_map(w, loop, q: int, cap: int):
+    """(laps, shift): a strand entering the collar loop at position q
+    keeps to it for ``laps`` whole laps, at most ``cap``, and each lap
+    adds ``shift`` to its entry position; (0, 0) when it leaves during
+    the first lap.  One pass over the loop tracks the position as s*q + c
+    and narrows the range [lo, hi) of entry positions that stay on the
+    loop; a lap ends with s = 1 because the collar is an annulus."""
+    lo, hi = 0, w[loop[0][0]]
+    s, c = 1, 0
+    for e0, e1, e2, left, e_flip in loop:
+        m = (w[e0] + w[e2] - w[e1]) // 2 - c
+        # stay left: s*q < m; stay right: s*q >= m
+        if left == (s == 1):
+            hi = min(hi, m if s == 1 else 1 - m)
+        else:
+            lo = max(lo, m if s == 1 else 1 - m)
+        if not lo <= q < hi:
+            return 0, 0
+        s, c = -s, (w[e2] if left else w[e0]) - 1 - c
+        if e_flip >= 0:
+            s, c = -s, w[e_flip] - 1 - c
+    if c == 0:
+        return cap, 0
+    laps = (hi - 1 - q) // c + 1 if c > 0 else (q - lo) // -c + 1
+    return min(laps, cap), c
+
+
+def _collar_loop(tri: Triangulation, label: str, direction: int, edge: int):
+    """((t, k), loop): the collar loop of ``label`` run in ``direction``,
+    entered through side k of triangle t where the wrap from boundary
+    edge ``edge`` comes back to that edge.  Each passage of the loop is
+    (entry edge, k+1 edge, k+2 edge, whether it leaves by the k+2 side,
+    the exit edge when the gluing reverses positions there or -1)."""
+    key = ("collar_loop", label, direction, edge)
+    if key not in tri._cache:
+        wrap, kin = _boundary_wrap(tri, label, direction, edge)
+        gluing = _gluing(tri)
+        t0, _k0, k1 = wrap[0]
+        loop = []
+        for t, k, k2 in [(t0, kin, k1)] + wrap[1:]:
+            sides = tri.triangles[t]
+            flipped = gluing[t][k2][2]
+            loop.append((sides[k][0], sides[_NEXT[k]][0], sides[_PREV[k]][0],
+                         k2 == _PREV[k], sides[k2][0] if flipped else -1))
+        tri._cache[key] = ((t0, kin), tuple(loop))
+    return tri._cache[key]
+
+
+def _collar_entries(tri: Triangulation):
+    """entries[t][k]: the distinct collar loops entered through side k of
+    triangle t, for every boundary edge and both directions."""
+    if "collar_entries" not in tri._cache:
+        table = [[(), (), ()] for _ in tri.triangles]
+        for label, boundary in tri.boundary_cycles.items():
+            for (t, k) in boundary:
+                for direction in (1, -1):
+                    (t1, k1), loop = _collar_loop(tri, label, direction,
+                                                  tri.triangles[t][k][0])
+                    if loop not in table[t1][k1]:
+                        table[t1][k1] += (loop,)
+        tri._cache["collar_entries"] = table
+    return tri._cache["collar_entries"]
 
 
 def trace_arc_strand(c: NormalCoordinates, e: int, slot: int):
@@ -423,7 +509,11 @@ def arc_from_walk(tri: Triangulation, label: str, walk_edges) -> ArcClass | None
 # sequences agree, taut representatives run parallel; at the first
 # divergence the arc exiting through the side adjacent to the end corner
 # of the entry side (the k+1 side) passes on the right.  The convention
-# is pinned globally by requiring c(T_C, C) = +1.
+# is pinned globally by requiring c(T_C, C) = +1.  The lockstep skips the
+# whole collar laps the two arcs share, in the spiral at their start and
+# in any spiral before their far ends, so a comparison costs about one
+# lap per spiral plus the walk outside the spirals, however many laps
+# T_C^m or phi^N winds.
 
 
 def compare_at_base(g1: ArcClass, g2: ArcClass, C: str) -> Ordering:
@@ -759,6 +849,12 @@ def reduce_passages(tri: Triangulation, passages):
     return out
 
 
+def _check_direction(direction: int):
+    if direction not in (1, -1):
+        raise CurveError("drag direction must be 1 or -1, not %r"
+                         % (direction,))
+
+
 def _boundary_wrap(tri: Triangulation, label: str, direction: int,
                    start_edge: int = None):
     """Passages of one collar-hugging loop just inside boundary component
@@ -793,23 +889,26 @@ def _boundary_wrap(tri: Triangulation, label: str, direction: int,
 def collar_laps(g: ArcClass, direction: int) -> int:
     """Whole laps the arc's strand makes around the collar of its start
     component, in the sense of ``direction`` (as in ``_boundary_wrap``),
-    before it first leaves the collar, read in a single walk.  Every lap
-    of the collar spiral leaves the triangles it passes through by the
-    same sides as the wrap from the base edge, so the count is the
-    length of the strand's prefix that repeats those exit sides, in whole
-    laps."""
+    before it first leaves the collar.  The first lap is the wrap from
+    the base edge, walked passage by passage; every later lap repeats the
+    collar loop, and the lap map of that loop (``_lap_map``) counts them
+    in one pass, however many there are."""
+    _check_direction(direction)
     tri = g.tri
-    wrap, _kin = _boundary_wrap(tri, g.start[0], direction)
+    label = g.start[0]
+    wrap, kin = _boundary_wrap(tri, label, direction)
     t0, k0, _k1 = wrap[0]
     c = g.coords
-    q = _position(c, t0, k0, g.start[1])
-    n = 0
-    for p, k_out in zip(_walk(c, t0, k0, q, c.total_weight + 1),
-                        cycle([k_out for (_t, _k, k_out) in wrap])):
-        if p[2] != k_out:
-            break
-        n += 1
-    return n // len(wrap)
+    budget = c.total_weight + 1
+    first = list(_walk(c, t0, k0, _position(c, t0, k0, g.start[1]),
+                       min(budget, len(wrap))))
+    if [p[2] for p in first] != [k_out for (_t, _k, k_out) in wrap]:
+        return 0
+    _entry, loop = _collar_loop(tri, label, direction, tri.base_edge_of[label])
+    q = _position(c, t0, kin, first[-1][4])
+    laps, _shift = _lap_map(c.weights, loop, q,
+                            (budget - len(loop)) // len(loop))
+    return 1 + laps
 
 
 def _arc_from_passages(tri: Triangulation, label: str, passages) -> ArcClass:
@@ -826,6 +925,7 @@ def boundary_drag(g: ArcClass, label: str, direction: int) -> ArcClass:
     boundary orientation for direction +1.  Both endpoints are handled in
     a single splice; dragging them one at a time is not an embedded
     operation when they share the component."""
+    _check_direction(direction)
     tri = g.tri
     orig = arc_passages(g)
     end_label, _end_slot = g.end()

@@ -21,6 +21,12 @@ collar laps that phi^N(gamma) makes before leaving the collar
 a bisection: about three comparisons per interval.  phi^N(gamma) resumes
 from the furthest point of the orbit of gamma that the word keeps
 (``MappingClassWord.orbit_arc``): a sweep to N_max applies w N_max times.
+
+Both T_C^m(gamma) and phi^N(gamma) spiral around the collar of C about
+|M| times.  The comparisons and the lap count skip the whole laps of
+those spirals in closed form (``curves._lap_map``), so each costs about
+one lap plus the walk outside the spirals, not |M| laps, and a sweep to
+N_max is no longer quadratic in N_max.
 """
 
 from __future__ import annotations
@@ -177,7 +183,9 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
     a bracket and a bisection closes it.  Every bracket end is a
     comparison actually made, and the relation is monotone in m, so the
     guess only decides how many comparisons are made.  A range end is
-    compared only when the search reaches it."""
+    compared only when the search reaches it.  Each comparison, and the
+    lap count, skips the whole collar laps the arcs share, so its cost
+    does not grow with |M|."""
     if N < 1:
         raise ComputationError("N must be a positive integer")
     tri = w.tri

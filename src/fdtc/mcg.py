@@ -153,11 +153,14 @@ class MappingClassWord:
             return engine.boundary_twist_encoding(tri, g.label, g.power)
         return engine.half_twist_encoding(tri, g.index, g.power)
 
-    def apply(self, x: curves.NormalCoordinates) -> curves.NormalCoordinates:
+    def _check_coords(self, x: curves.NormalCoordinates):
         if x.tri is not self.tri:
             raise CurveError("coordinates live on a different triangulation")
         if not curves.is_matching(x):
             raise CurveError("coordinates violate the matching conditions")
+
+    def apply(self, x: curves.NormalCoordinates) -> curves.NormalCoordinates:
+        self._check_coords(x)
         return curves.NormalCoordinates(self.tri, self.encoding().forward(x.weights))
 
     def apply_arc(self, g: curves.ArcClass) -> curves.ArcClass:
@@ -168,14 +171,23 @@ class MappingClassWord:
 
     def orbit_arc(self, gamma: curves.ArcClass, N: int) -> curves.ArcClass:
         """w^N(gamma), resumed from the kept point w^n(gamma) when n <= N,
-        else walked from gamma; the new point replaces the kept one."""
+        else walked from gamma; the new point replaces the kept one.
+        gamma is checked once, as ``apply`` checks it; the replays need
+        no check, since flips keep the matching conditions."""
         if N < 0:
             raise WordError("orbit power must be non-negative, not %d" % N)
         kept = self._orbit
         n, arc = kept[1:] if kept and kept[0] == gamma and kept[1] <= N \
             else (0, gamma)
-        for _ in range(N - n):
-            arc = self.apply_arc(arc)
+        if N > n:
+            if not n:
+                self._check_coords(gamma.coords)
+            forward = self.encoding().forward
+            weights = arc.coords.weights
+            for _ in range(N - n):
+                weights = forward(weights)
+            arc = curves.ArcClass(curves.NormalCoordinates(self.tri, weights),
+                                  gamma.start)
         self._orbit = (gamma, N, arc)
         return arc
 

@@ -56,3 +56,18 @@ def disc2_tri():
 @pytest.fixture(scope="session")
 def disc3_tri():
     return standard_triangulation(SurfaceSpec(0, ("C",), 3))
+
+
+@pytest.fixture(scope="session")
+def disc4_tri():
+    return standard_triangulation(SurfaceSpec(0, ("C",), 4))
+
+
+@pytest.fixture(scope="session")
+def genus2_tri():
+    return standard_triangulation(SurfaceSpec(2, ("S",)))
+
+
+@pytest.fixture(scope="session")
+def genus3_tri():
+    return standard_triangulation(SurfaceSpec(3, ("S",)))

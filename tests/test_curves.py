@@ -1,9 +1,14 @@
 import random
+from itertools import cycle
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdtc.errors import ComputationError, CurveError, MatchingError
 from fdtc import curves, engine
+from fdtc.fdtc import _boundary_power_arc, _first_probe_arc
+from fdtc.mcg import Generator, MappingClassWord
 from fdtc.curves import (
     ArcClass,
     NormalCoordinates,
@@ -22,6 +27,8 @@ from fdtc.curves import (
     trace_components,
 )
 from conftest import (
+    GENUS2_CHAIN,
+    GENUS3_CHAIN,
     TORUS_A,
     TORUS_B,
     TWO_HOLED_A,
@@ -219,6 +226,15 @@ class TestBoundaryDrag:
 
 
 class TestCollarLaps:
+    def test_rejects_bad_directions(self, torus_tri):
+        gamma = enumerate_arcs(torus_tri, "S", 8)[0]
+        assert gamma.coords.weights == (0, 1, 2, 1, 1)
+        for direction in (0, 2, -2):
+            with pytest.raises(CurveError, match="not %d" % direction):
+                collar_laps(gamma, direction)
+            with pytest.raises(CurveError, match="not %d" % direction):
+                boundary_drag(gamma, "S", direction)
+
     @pytest.mark.parametrize("fixture,C", WALKER_CASES)
     def test_one_lap_per_drag(self, fixture, C, request):
         tri = request.getfixturevalue(fixture)
@@ -273,3 +289,187 @@ class TestOverlayCap:
         assert self._pairs(torus_tri, a, b) > curves.OVERLAY_PAIR_LIMIT
         with pytest.raises(ComputationError, match="overlay cap of 50000"):
             geometric_intersection(a, b)
+
+
+# ---------------------------------------------------------------------------
+# skipping whole collar laps
+
+_NEXT = (1, 2, 0)
+_PREV = (2, 0, 1)
+
+
+def _plain_lockstep(a, b, t, k, qa, qb, budget):
+    """The lockstep one passage at a time, with no lap skipped."""
+    wa, wb = a.weights, b.weights
+    triangles = a.tri.triangles
+    gluing = curves._gluing(a.tri)
+    for _ in range(budget):
+        sides = triangles[t]
+        e0 = sides[k][0]
+        e1 = sides[_NEXT[k]][0]
+        e2 = sides[_PREV[k]][0]
+        left_a = qa < (wa[e0] + wa[e2] - wa[e1]) // 2
+        left_b = qb < (wb[e0] + wb[e2] - wb[e1]) // 2
+        if left_a != left_b:
+            return -1 if left_b else 1
+        if left_a:
+            k2 = _PREV[k]
+            qa = wa[e2] - 1 - qa
+            qb = wb[e2] - 1 - qb
+        else:
+            k2 = _NEXT[k]
+            qa = wa[e0] - 1 - qa
+            qb = wb[e0] - 1 - qb
+        glued = gluing[t][k2]
+        if glued is None:
+            return 0
+        t, k, flip = glued
+        if flip:
+            e = sides[k2][0]
+            qa = wa[e] - 1 - qa
+            qb = wb[e] - 1 - qb
+    return None
+
+
+def _plain_compare(g1, g2, C):
+    with mock.patch.object(curves, "_lockstep", _plain_lockstep):
+        return compare_at_base(g1, g2, C)
+
+
+def _plain_laps(g, direction):
+    """Passages of the strand that repeat the exit sides of the wrap from
+    the base edge, in whole laps."""
+    tri = g.tri
+    wrap, _kin = curves._boundary_wrap(tri, g.start[0], direction)
+    t0, k0, _k1 = wrap[0]
+    c = g.coords
+    q = curves._position(c, t0, k0, g.start[1])
+    n = 0
+    for p, k_out in zip(curves._walk(c, t0, k0, q, c.total_weight + 1),
+                        cycle([k_out for (_t, _k, k_out) in wrap])):
+        if p[2] != k_out:
+            break
+        n += 1
+    return n // len(wrap)
+
+
+def _start(g1, g2):
+    tri = g1.tri
+    t, k = tri.incidences[tri.base_edge_of[g1.start[0]]][0]
+    return (t, k, curves._position(g1.coords, t, k, g1.start[1]),
+            curves._position(g2.coords, t, k, g2.start[1]))
+
+
+def _twists(*curves_):
+    return [Generator.twist(c) for c in curves_]
+
+
+def _braids(n):
+    return [Generator.braid(i) for i in range(1, n)]
+
+
+# (triangulation fixture, component, letters besides the boundary twists)
+LAP_CASES = [
+    ("torus_tri", "S", _twists(TORUS_A, TORUS_B)),
+    ("two_holed_torus_tri", "C1", _twists(TWO_HOLED_A, TWO_HOLED_B,
+                                          TWO_HOLED_C)),
+    ("two_holed_torus_tri", "C2", _twists(TWO_HOLED_A, TWO_HOLED_B,
+                                          TWO_HOLED_C)),
+    ("disc3_tri", "C", _braids(3)),
+    ("disc4_tri", "C", _braids(4)),
+    ("genus2_tri", "S", _twists(*GENUS2_CHAIN)),
+    ("genus3_tri", "S", _twists(*GENUS3_CHAIN)),
+]
+
+
+class TestLapSkipping:
+    """Skipping whole collar laps changes no answer: comparisons and lap
+    counts equal the passage-by-passage walk, budgets run out at the same
+    passage, and the passages stepped do not grow with the laps."""
+
+    @pytest.mark.parametrize("fixture,C,letters", LAP_CASES,
+                             ids=["%s-%s" % case[:2] for case in LAP_CASES])
+    def test_matches_plain_walk(self, fixture, C, letters, request):
+        tri = request.getfixturevalue(fixture)
+        gamma = _first_probe_arc(tri, C)
+        letter = st.builds(lambda g, p: Generator(g.kind, p, g.curve, g.label,
+                                                  g.index),
+                           st.sampled_from(letters),
+                           st.sampled_from([-2, -1, 1, 2]))
+        shift = st.builds(Generator.boundary,
+                          st.sampled_from(sorted(tri.base_edge_of)),
+                          st.integers(-3, 3))
+
+        @settings(max_examples=25, deadline=None)
+        @given(st.lists(letter, max_size=3), shift, st.integers(1, 31),
+               st.integers(-40, 40))
+        def check(body, boundary, N, m):
+            # an empty body leaves a boundary-only word: its image is a
+            # twist power of gamma, equal to one of the T_C^m(gamma), and
+            # the comparison walks both arcs to their far ends
+            w = MappingClassWord(tri, body + [boundary])
+            image = w.orbit_arc(gamma, N)
+            powers = [m]
+            if not body and boundary.label == C:
+                powers.append(boundary.power * N)
+            for n in powers:
+                twisted = _boundary_power_arc(gamma, C, n)
+                for g1, g2 in ((twisted, image), (image, twisted)):
+                    assert compare_at_base(g1, g2, C) is \
+                        _plain_compare(g1, g2, C)
+            for g in (image, twisted):
+                for direction in (1, -1):
+                    assert collar_laps(g, direction) == \
+                        _plain_laps(g, direction)
+
+        check()
+
+    @pytest.mark.parametrize("fixture,C", WALKER_CASES)
+    def test_budget_runs_out_where_plain_walk_does(self, fixture, C, request):
+        tri = request.getfixturevalue(fixture)
+        arcs = enumerate_arcs(tri, C, 7)[:3]
+        for m in (6, -5):
+            for g1 in (_boundary_power_arc(a, C, m) for a in arcs):
+                # equal pairs run through the spirals at both ends; arcs
+                # with different ends on C shift by different laps
+                for g2 in (_boundary_power_arc(a, C, n) for a in arcs
+                           for n in (m, m + 1)):
+                    start = _start(g1, g2)
+                    for budget in range(g1.coords.total_weight + 3):
+                        assert curves._lockstep(g1.coords, g2.coords, *start,
+                                                budget) == \
+                            _plain_lockstep(g1.coords, g2.coords, *start,
+                                            budget)
+
+    def test_passages_do_not_grow_with_laps(self, torus_tri, monkeypatch):
+        gamma = _first_probe_arc(torus_tri, "S")
+        gluing = curves._gluing(torus_tri)
+        curves._collar_entries(torus_tri)
+        stepped = []
+
+        class Row(list):
+            # every passage reads one entry of the gluing table
+            def __getitem__(self, k):
+                stepped.append(k)
+                return list.__getitem__(self, k)
+
+        monkeypatch.setattr(curves, "_gluing",
+                            lambda tri: [Row(row) for row in gluing])
+
+        def passages(m):
+            del stepped[:]
+            lower = _boundary_power_arc(gamma, "S", m)
+            upper = _boundary_power_arc(gamma, "S", m + 1)
+            assert compare_at_base(lower, upper, "S") is Ordering.RIGHT_OF
+            assert compare_at_base(upper, lower, "S") is Ordering.LEFT_OF
+            assert compare_at_base(lower, lower, "S") is Ordering.EQUAL
+            # the first lap of T_C^m(gamma) is the first drag, which
+            # leaves gamma's strand in place on the one-holed torus
+            assert collar_laps(lower, 1) == m - 1
+            assert collar_laps(_boundary_power_arc(gamma, "S", -m), -1) == m
+            return len(stepped)
+
+        few = passages(10)
+        assert few == passages(10 ** 6)
+        assert few < _plain_laps(_boundary_power_arc(gamma, "S", 10), 1) * \
+            len(curves._boundary_wrap(torus_tri, "S", 1)[0])

@@ -182,18 +182,20 @@ class TestKeyLemmaInterval:
 
     def test_translation_estimate_walks_orbit_once(self, torus_tri,
                                                    monkeypatch):
+        # the orbit replays the word's compiled encoding, one call per
+        # application of w
         applied = []
-        apply = MappingClassWord.apply
+        forward = engine.Encoding.forward
 
         def counted(self, x):
-            applied.append(x)
-            return apply(self, x)
+            applied.append(self)
+            return forward(self, x)
 
-        monkeypatch.setattr(MappingClassWord, "apply", counted)
+        monkeypatch.setattr(engine.Encoding, "forward", counted)
         w = MappingClassWord(torus_tri, [Generator.twist(TORUS_A),
                                          Generator.twist(TORUS_B)])
         assert len(translation_estimate(w, "S", 32)) == 32
-        assert len(applied) == 32
+        assert applied == [w.encoding()] * 32
 
     @pytest.mark.parametrize("fixture,letters,C", [
         ("torus_tri", [Generator.twist(TORUS_A), Generator.twist(TORUS_B),
