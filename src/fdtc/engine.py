@@ -10,9 +10,15 @@ formula undoes itself.
 
 An ``Encoding`` is the one compiled form of a mapping class: flips
 replayed in place on one list of weights, then one renaming of the
-edges.  Composition, inversion and powers push every renaming to the end
-by renaming the edge ids of the flips behind it; the copies in a power
-that are renamed alike share one block of flips.
+edges.  A replayed flip is two sums, one comparison and a difference;
+the inverse renaming is worked out once per encoding.  Composition,
+inversion and powers push every renaming to the end by renaming the
+edge ids of the flips behind it.  ``compose`` walks a list of encodings
+once, reading each through the renaming so far; a power repeats and
+cuts the copy cycle of its core (the copies up to the period of the
+core's renaming), which the core keeps, as it keeps its inverse.  No
+script longer than ``_SCRIPT_CAP`` flips is built: asking for one raises
+ComputationError with its length and the cap.
 
 A Dehn twist along a simple closed curve is compiled into such a script:
 flip until the curve crosses just two edges once each (so two triangles
@@ -23,10 +29,11 @@ right-handed twist.  The braid generator sigma_i is built the same way
 around the curve enclosing punctures i and i+1, where the half twist is
 three flips next to the once-punctured monogon around one of them.
 Neither move involves a search beyond the shortening.  Each letter is
-compiled once into (conjugator, core move, inverse conjugator), and its
-k-th power replays the core k times between the two.  Applying the
-script is pure big-integer arithmetic, which is what makes high twist
-powers on huge coordinates affordable.
+compiled once into (conjugator, core move, inverse conjugator) and kept
+in the triangulation's letter cache; its k-th power replays the core k
+times between the two.  Applying the script is pure big-integer
+arithmetic, which is what makes high twist powers on huge coordinates
+affordable.
 
 The twist along a boundary component that is a single edge, whose curve
 has no annular position on a one-boundary surface without punctures,
@@ -45,6 +52,7 @@ from . import curves as _curves
 
 _SEARCH_CAP = 20000  # states explored when shortening a curve
 _PROBE_SEARCH_CAP = 200000  # states explored when reconstructing from probes
+_SCRIPT_CAP = 10 ** 7  # flips in one script; one replay of that many takes ~2 s
 
 
 def _renaming(perm):
@@ -55,7 +63,10 @@ def _renaming(perm):
 
 
 def _inverse(perm):
-    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    inv = [0] * len(perm)
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return tuple(inv)
 
 
 def _then(p, q):
@@ -71,57 +82,95 @@ def _read_through(steps, table):
                  for e, a, b, c, d in steps)
 
 
+def _check_length(n: int):
+    """Refuse to build a script of n flips beyond _SCRIPT_CAP."""
+    if n > _SCRIPT_CAP:
+        raise ComputationError("script of %d flips exceeds the cap of %d"
+                               % (n, _SCRIPT_CAP))
+
+
 class Encoding:
     """A replayable mapping class on edge weights: the flips ``steps``,
-    each an (e, a, b, c, d) tuple, then the edge renaming ``perm``."""
+    each an (e, a, b, c, d) tuple, then the edge renaming ``perm``.
 
-    __slots__ = ("steps", "perm")
+    The inverse renaming, the inverse encoding and the copy cycle of
+    ``power`` are filled in on first use and kept, so a letter core in
+    the letter cache computes each of them once."""
+
+    __slots__ = ("steps", "perm", "_unrename", "_inverted", "_cycle")
 
     def __init__(self, steps, perm=None):
         self.steps = tuple(steps)
         self.perm = _renaming(perm)
+        self._unrename = self._inverted = self._cycle = None
 
     def forward(self, w):
         w = list(w)
         for e, a, b, c, d in self.steps:
-            x = max(w[a] + w[c], w[b] + w[d]) - w[e]
+            p = w[a] + w[c]
+            q = w[b] + w[d]
+            x = (p if p >= q else q) - w[e]
             if x < 0:
                 raise ComputationError("flip produced a negative weight")
             w[e] = x
         if self.perm is not None:
-            w = [w[old] for old in _inverse(self.perm)]
+            if self._unrename is None:
+                self._unrename = _inverse(self.perm)
+            w = [w[old] for old in self._unrename]
         return tuple(w)
 
     def inverted(self) -> "Encoding":
         # the renaming is undone first, so the reversed flips read through it
-        if self.perm is None:
-            return Encoding(self.steps[::-1])
-        return Encoding(_read_through(self.steps[::-1], self.perm),
-                        _inverse(self.perm))
+        if self._inverted is None:
+            if self.perm is None:
+                self._inverted = Encoding(self.steps[::-1])
+            else:
+                self._inverted = Encoding(
+                    _read_through(self.steps[::-1], self.perm),
+                    _inverse(self.perm))
+        return self._inverted
 
     def __add__(self, other: "Encoding") -> "Encoding":
         """self, then other."""
-        if self.perm is None:
-            return Encoding(self.steps + other.steps, other.perm)
-        steps = _read_through(other.steps, _inverse(self.perm))
-        return Encoding(self.steps + steps, _then(self.perm, other.perm))
+        return compose((self, other))
 
     def power(self, k: int) -> "Encoding":
         """self repeated k times (the inverse repeated -k times if k < 0).
 
         Copy j runs after j renamings, so its flips are read through
-        perm^-j; the copies with the same power of perm share one block."""
+        perm^-j.  The copies repeat with the period p of perm (2 to 6
+        for the letter cores of the standard triangulations), so the
+        first p copies are built once and kept with perm^j for j < p;
+        the power is that cycle repeated and cut.  A power longer than
+        _SCRIPT_CAP flips raises ComputationError before anything is
+        built."""
         if k <= 0:
             return self.inverted().power(-k) if k else Encoding(())
-        shifts = [None]  # perm^j for j = 0, 1, ... up to k or perm's period
-        while len(shifts) <= k and (
-                nxt := _then(shifts[-1], self.perm)) is not None:
-            shifts.append(nxt)
-        cycle = self.steps + tuple(f for p in shifts[1:k] for f in
-                                   _read_through(self.steps, _inverse(p)))
-        whole, part = divmod(k, min(k, len(shifts)))
-        steps = cycle * whole + cycle[:part * len(self.steps)]
-        return Encoding(steps, shifts[k % len(shifts)])
+        _check_length(k * len(self.steps))
+        if self._cycle is None:
+            shifts = [None]  # perm^j for j = 0, 1, ... below perm's period
+            while (nxt := _then(shifts[-1], self.perm)) is not None:
+                shifts.append(nxt)
+            self._cycle = compose((self,) * len(shifts)).steps, shifts
+        cycle, shifts = self._cycle
+        whole, part = divmod(k, len(shifts))
+        return Encoding(cycle * whole + cycle[:part * len(self.steps)],
+                        shifts[part])
+
+
+def compose(encodings) -> Encoding:
+    """The encodings one after another, as one Encoding.  Each one's flips
+    are read through the renamings of those before it, and the renamings
+    combine into one at the end.  A script longer than _SCRIPT_CAP flips
+    raises ComputationError before anything is built."""
+    encodings = tuple(encodings)
+    _check_length(sum(len(enc.steps) for enc in encodings))
+    steps, perm = [], None
+    for enc in encodings:
+        steps.extend(enc.steps if perm is None
+                     else _read_through(enc.steps, _inverse(perm)))
+        perm = _then(perm, enc.perm)
+    return Encoding(steps, perm)
 
 
 def _flip_blocks(step, v, m):
@@ -466,7 +515,7 @@ def _power(tri: Triangulation, key, k: int) -> Encoding:
     if k == 0:
         return Encoding(())
     conj, core, conj_inv = _letter(tri, key)
-    return conj + core.power(k) + conj_inv
+    return compose((conj, core.power(k), conj_inv))
 
 
 def boundary_twist_encoding(tri: Triangulation, label: str,

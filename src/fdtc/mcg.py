@@ -141,8 +141,8 @@ class MappingClassWord:
 
     def encoding(self) -> engine.Encoding:
         if self._encoding is None:
-            letters = map(self._generator_encoding, reversed(self.generators))
-            self._encoding = sum(letters, engine.Encoding(()))
+            self._encoding = engine.compose(
+                map(self._generator_encoding, reversed(self.generators)))
         return self._encoding
 
     def _generator_encoding(self, g: Generator) -> engine.Encoding:

@@ -218,6 +218,17 @@ class TestMain:
         assert main(["fdtc", "exact", str(path)]) == EXIT_COMPUTATION
         assert main(["fdtc", "braid", str(path)]) == EXIT_OK
 
+    def test_huge_power_exit(self, capsys):
+        # T_S^(10^9) on S_{1,1} would be a 6*10^9-flip script
+        problem = json.dumps({
+            "surface": {"genus": 1, "boundary": ["S"]},
+            "words": {"w": [{"boundary": "S", "power": 10 ** 9}]},
+        })
+        assert main(["fdtc", "exact", problem]) == EXIT_COMPUTATION
+        err = capsys.readouterr().err
+        assert err == ("computation error: script of 6000000000 flips "
+                       "exceeds the cap of 10000000\n")
+
     @pytest.mark.parametrize("item", [3, {"twist": "a", "power": 1.5}])
     def test_bad_word_record_exit(self, tmp_path, capsys, item):
         data = torus_problem()

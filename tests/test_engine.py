@@ -18,7 +18,8 @@ from fdtc.curves import (
     is_matching,
 )
 from conftest import (
-    GENUS3_CHAIN, TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C,
+    GENUS2_CHAIN, GENUS3_CHAIN, TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B,
+    TWO_HOLED_C,
 )
 
 
@@ -509,6 +510,165 @@ class TestEncodingAlgebra:
             assert e1.power(k).forward(w) == _replay(e1, k, w)
 
         check()
+
+
+# fixture name -> twist curves of the random words replayed on it; every
+# boundary twist and braid generator of the surface joins them
+WORD_SURFACES = dict(SURFACES, genus2_tri=GENUS2_CHAIN)
+
+
+def _generators(tri, fixture):
+    gens = [Generator.twist(c) for c in WORD_SURFACES[fixture]]
+    gens += [Generator.boundary(lab) for lab in sorted(tri.base_edge_of)]
+    return gens + [Generator.braid(i)
+                   for i in range(1, tri.surface.puncture_count)]
+
+
+def _random_words(tri, fixture):
+    """Words of at most five letters, each to a power in -3..3."""
+    gens = _generators(tri, fixture)
+    letter = st.tuples(st.sampled_from(gens), st.integers(-3, 3))
+    return st.lists(letter, max_size=5).map(lambda word: MappingClassWord(
+        tri, [Generator(g.kind, p, g.curve, g.label, g.index)
+              for g, p in word]))
+
+
+def _textbook_forward(enc, w):
+    """Replay flip by flip with the max formula, then rename."""
+    w = list(w)
+    for e, a, b, c, d in enc.steps:
+        w[e] = max(w[a] + w[c], w[b] + w[d]) - w[e]
+        assert w[e] >= 0
+    if enc.perm is None:
+        return tuple(w)
+    out = [None] * len(w)
+    for old, new in enumerate(enc.perm):
+        out[new] = w[old]
+    return tuple(out)
+
+
+def _fold(encodings):
+    """(steps, perm) of the encodings one after another, as a left fold:
+    the script so far, then the next encoding's flips with each edge id
+    read through the inverse of the renaming so far.  The reference for
+    ``engine.compose`` and ``Encoding.power``."""
+    steps, perm = (), None
+    for enc in encodings:
+        if perm is None:
+            steps += enc.steps
+        else:
+            inv = sorted(range(len(perm)), key=perm.__getitem__)
+            steps += tuple(tuple(inv[x] for x in f) for f in enc.steps)
+        if enc.perm is not None:
+            perm = tuple(enc.perm[x] for x in perm) if perm else enc.perm
+            if perm == tuple(range(len(perm))):
+                perm = None
+    return steps, perm
+
+
+class TestReplayKernel:
+    """``Encoding.forward`` against the textbook flip formula, and the
+    scripts of ``compose`` and ``power`` against the left fold."""
+
+    @pytest.mark.parametrize("fixture", WORD_SURFACES)
+    def test_forward_matches_textbook_replay(self, fixture, request):
+        tri = request.getfixturevalue(fixture)
+        probes = _probe_weights(tri)
+
+        @settings(max_examples=60, deadline=None)
+        @given(_random_words(tri, fixture), st.sampled_from(probes))
+        def check(w, x):
+            enc = w.encoding()
+            assert enc.forward(x) == _textbook_forward(enc, x)
+
+        check()
+
+    @pytest.mark.parametrize("fixture", WORD_SURFACES)
+    def test_word_script_matches_left_fold(self, fixture, request):
+        tri = request.getfixturevalue(fixture)
+
+        @settings(max_examples=60, deadline=None)
+        @given(_random_words(tri, fixture))
+        def check(w):
+            enc = w.encoding()
+            letters = [w._generator_encoding(g) for g in reversed(w.generators)]
+            assert (enc.steps, enc.perm) == _fold(letters)
+
+        check()
+
+    @pytest.mark.parametrize("fixture", WORD_SURFACES)
+    def test_core_powers_match_left_fold(self, fixture, request):
+        tri = request.getfixturevalue(fixture)
+        for g in _generators(tri, fixture):
+            MappingClassWord(tri, [g]).encoding()
+        for conj, core, conj_inv in tri._cache["letters"].values():
+            for k in range(1, 8):
+                pk, nk = core.power(k), core.power(-k)
+                assert (pk.steps, pk.perm) == _fold([core] * k)
+                assert (nk.steps, nk.perm) == _fold([core.inverted()] * k)
+
+    def test_negative_weight_raises(self, torus_tri):
+        # a lone weight on the first flipped edge breaks the matching
+        # conditions, and that flip sends it to 0 - 1
+        enc = engine.twist_encoding(torus_tri, TORUS_A)
+        w = [0] * torus_tri.edge_count
+        w[enc.steps[0][0]] = 1
+        with pytest.raises(ComputationError,
+                           match="flip produced a negative weight"):
+            enc.forward(w)
+
+    def test_core_powers_read_nothing_through(self, torus_tri, disc3_tri,
+                                              monkeypatch):
+        # after its first power, a letter core repeats and cuts its kept
+        # copy cycle; no power reads its flips through a renaming again
+        cores = []
+        for tri, fixture in ((torus_tri, "torus_tri"),
+                             (disc3_tri, "disc3_tri")):
+            for g in _generators(tri, fixture):
+                MappingClassWord(tri, [g]).encoding()
+            cores += [core for _, core, _ in tri._cache["letters"].values()]
+        assert any(core.perm is not None for core in cores)
+        for core in cores:
+            core.power(1), core.power(-1)
+        calls = []
+        read_through = engine._read_through
+
+        def counted(steps, table):
+            calls.append(len(steps))
+            return read_through(steps, table)
+
+        monkeypatch.setattr(engine, "_read_through", counted)
+        for core in cores:
+            for k in range(1, 101):
+                core.power(k), core.power(-k)
+        assert calls == []
+
+
+class TestScriptCap:
+    """Scripts longer than ``_SCRIPT_CAP`` flips are refused by name
+    before they are built."""
+
+    def test_letter_power(self, monkeypatch):
+        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        monkeypatch.setattr(engine, "_SCRIPT_CAP", 50)
+        core = engine._letter(tri, ("boundary", "S"))[1]
+        assert len(engine.boundary_twist_encoding(tri, "S", 8).steps) == 48
+        with pytest.raises(ComputationError, match=(
+                "script of %d flips exceeds the cap of 50" % (9 * len(core.steps)))):
+            engine.boundary_twist_encoding(tri, "S", 9)
+        with pytest.raises(ComputationError, match="exceeds the cap of 50"):
+            engine.boundary_twist_encoding(tri, "S", -10 ** 9)
+
+    def test_word(self, monkeypatch):
+        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        monkeypatch.setattr(engine, "_SCRIPT_CAP", 50)
+        w = MappingClassWord(tri, [Generator.twist(TORUS_A, 30),
+                                   Generator.twist(TORUS_B, 30)])
+        n = len(engine.twist_encoding(tri, TORUS_A, 30).steps) + len(
+            engine.twist_encoding(tri, TORUS_B, 30).steps)
+        with pytest.raises(ComputationError, match=(
+                "script of %d flips exceeds the cap of 50" % n)):
+            w.encoding()
 
 
 class TestKeyLemmaReplay:
