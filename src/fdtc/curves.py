@@ -76,27 +76,6 @@ class NormalCoordinates:
     def is_empty(self) -> bool:
         return all(x == 0 for x in self.weights)
 
-    def to_json(self) -> dict:
-        return {
-            "weights": {
-                "e%d" % e: self.weights[e]
-                for e in range(len(self.weights))
-                if self.weights[e]
-            }
-        }
-
-    @staticmethod
-    def from_json(tri: Triangulation, data: dict) -> "NormalCoordinates":
-        w = [0] * tri.edge_count
-        for name, val in data["weights"].items():
-            if not name.startswith("e"):
-                raise CurveError("bad edge name %r" % name)
-            idx = int(name[1:])
-            if not 0 <= idx < tri.edge_count:
-                raise CurveError("edge %r out of range" % name)
-            w[idx] = int(val)
-        return NormalCoordinates(tri, w)
-
 
 def matching_diagnostics(c: NormalCoordinates) -> list[tuple[int, str]]:
     """All matching-condition violations as (triangle index, message)."""
@@ -467,19 +446,6 @@ class ArcClass:
         e = edges[-1]
         return (self.tri.boundary_label_of_edge[e], slots[-1])
 
-    def to_json(self) -> dict:
-        data = self.coords.to_json()
-        data["start"] = [self.start[0], self.start[1]]
-        e_end, s_end = self.end()
-        data["end"] = [e_end, s_end]
-        return data
-
-    @staticmethod
-    def from_json(tri: Triangulation, data: dict) -> "ArcClass":
-        coords = NormalCoordinates.from_json(tri, data)
-        label, slot = data["start"]
-        return ArcClass(coords, (str(label), int(slot)))
-
 
 def arc_from_walk(tri: Triangulation, label: str, walk_edges) -> ArcClass | None:
     """Build the arc class whose taut representative crosses, from the
@@ -805,6 +771,14 @@ def _overlay_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
 # collar-hugging wrap into the passage sequence; spur passages entering
 # and leaving through the same side are then cancelled in a stack pass,
 # which restores normality.
+#
+# The drag (``boundary_drag`` with ``arc_passages``, ``reduce_passages``
+# and ``_arc_from_passages``) is not on any computation path: the Key
+# Lemma replays the compiled boundary letter.  It stays as the tests'
+# independent construction of T_C, against which every boundary letter
+# is checked, and because ``bench/tracer.py`` wraps ``boundary_drag`` by
+# name.  ``_boundary_wrap`` and ``collar_laps`` serve the Key Lemma
+# search.
 
 
 def arc_passages(g: ArcClass):
@@ -924,7 +898,10 @@ def boundary_drag(g: ArcClass, label: str, direction: int) -> ArcClass:
     every endpoint on that component is dragged once around it, in the
     boundary orientation for direction +1.  Both endpoints are handled in
     a single splice; dragging them one at a time is not an embedded
-    operation when they share the component."""
+    operation when they share the component.
+
+    The tests' reference for the boundary twist letter; no computation
+    calls it (``bench/tracer.py`` names it)."""
     _check_direction(direction)
     tri = g.tri
     orig = arc_passages(g)

@@ -10,13 +10,14 @@ coefficient; equality at the bracket end pins the point value M/N
 directly.  Everything is integer/rational arithmetic on normal
 coordinates, so results are exact.
 
-The twist powers of the probe arc are never compiled.  T_C^m(gamma) is
-the m-th collar drag of gamma (``curves.boundary_drag``); once a drag
-adds one lap per endpoint of gamma on C, every later drag adds the same,
-so T_C^m(gamma) = D + (|m| - j) k c_C with D the j-th drag, k the number
-of endpoints on C and c_C the boundary-parallel curve.  The search for M
-compares at m = 0 for the sign of M, reads a guess for |M| off the
-collar laps that phi^N(gamma) makes before leaving the collar
+T_C^m(gamma) is the m-th replay of the compiled boundary letter
+(``engine.boundary_twist_encoding``) on the weights of gamma; the twist
+fixes the boundary pointwise, so gamma keeps its start slot.  Once one
+replay adds one lap per endpoint of gamma on C, every later replay adds
+the same, so T_C^m(gamma) = D + (|m| - j) k c_C with D the j-th power,
+k the number of endpoints on C and c_C the boundary-parallel curve.  The
+search for M compares at m = 0 for the sign of M, reads a guess for |M|
+off the collar laps that phi^N(gamma) makes before leaving the collar
 (``curves.collar_laps``), and brackets M by a gallop from the guess and
 a bisection: about three comparisons per interval.  phi^N(gamma) resumes
 from the furthest point of the orbit of gamma that the word keeps
@@ -37,7 +38,7 @@ from math import ceil, floor
 
 from .errors import ComputationError, CurveError, InconsistentDataError, WordError
 from .surface import denominator_bound
-from . import curves
+from . import curves, engine
 from .engine import POSITIVE_DRAG_DIRECTION
 from .mcg import MappingClassWord, puncture_permutation_order
 
@@ -125,49 +126,46 @@ class FDTCResult:
 
 
 def _drag_chain(gamma: curves.ArcClass, C: str, sign: int):
-    """(chain, lap): chain[j] is T_C^(sign*j)(gamma) by j collar drags,
-    continued until one drag adds exactly ``lap`` = k copies of the
-    boundary-parallel curve, k being the number of endpoints of gamma on
-    C.  From there on every drag splices one whole lap per endpoint with
-    nothing to cancel, so the powers are affine.  For a probe arc that
-    does not itself wind around C the chain is (gamma, D, D + lap)."""
+    """(chain, lap): chain[j] is the weights of T_C^(sign*j)(gamma), the
+    compiled boundary letter replayed j times, continued until one
+    application adds exactly ``lap`` = k copies of the boundary-parallel
+    curve, k being the number of endpoints of gamma on C.  From there on
+    every application adds one whole lap per endpoint with nothing to
+    cancel, so the powers are affine.  For a probe arc that does not
+    itself wind around C the chain is (gamma, D, D + lap)."""
     tri = gamma.tri
     key = ("drag_chain", C, sign, gamma.coords.weights, gamma.start)
     if key not in tri._cache:
         k = (gamma.start[0] == C) + (gamma.end()[0] == C)
         c_C = curves.boundary_parallel_curve(tri, C).weights
         lap = tuple(k * x for x in c_C)
-        direction = sign * POSITIVE_DRAG_DIRECTION
-        chain = [gamma, curves.boundary_drag(gamma, C, direction)]
-        # a winding arc unwinds by at most one lap per drag
+        forward = engine.boundary_twist_encoding(tri, C, sign).forward
+        chain = [gamma.coords.weights, forward(gamma.coords.weights)]
+        # a winding arc unwinds by at most one lap per application
         for _ in range(gamma.coords.total_weight + 2):
-            nxt = curves.boundary_drag(chain[-1], C, direction)
-            chain.append(nxt)
-            step = tuple(b - a for a, b in zip(chain[-2].coords.weights,
-                                               nxt.coords.weights))
-            if step == lap:
+            chain.append(forward(chain[-1]))
+            if tuple(b - a for a, b in zip(chain[-2], chain[-1])) == lap:
                 break
         else:
-            raise ComputationError("collar drags of the probe arc did not "
-                                   "settle into whole laps")
+            raise ComputationError("twists of the probe arc did not settle "
+                                   "into whole laps")
         tri._cache[key] = (tuple(chain), lap)
     return tri._cache[key]
 
 
 def _boundary_power_arc(gamma: curves.ArcClass, C: str,
                         m: int) -> curves.ArcClass:
-    """T_C^m(gamma) in closed form: the m-th collar drag, read off the
-    drag chain and continued affinely by whole laps."""
+    """T_C^m(gamma) in closed form: read off the chain of boundary
+    twist powers and continued affinely by whole laps.  The twist fixes
+    the boundary pointwise, so the start slot is gamma's."""
     if m == 0:
         return gamma
     chain, lap = _drag_chain(gamma, C, 1 if m > 0 else -1)
     extra = abs(m) - len(chain) + 1
-    if extra <= 0:
-        return chain[abs(m)]
-    last = chain[-1]
-    weights = [a + extra * b for a, b in zip(last.coords.weights, lap)]
+    weights = chain[abs(m)] if extra <= 0 else \
+        [a + extra * b for a, b in zip(chain[-1], lap)]
     return curves.ArcClass(curves.NormalCoordinates(gamma.tri, weights),
-                           last.start)
+                           gamma.start)
 
 
 def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
@@ -325,42 +323,32 @@ def _first_probe_arc(tri, C: str):
     return tri._cache[key]
 
 
-def _annulus_winding(w: MappingClassWord, C: str) -> FDTCResult:
-    gamma = _first_probe_arc(w.tri, C)
-    interval = key_lemma_interval(w, C, gamma, 1)
-    if not interval.is_point:
-        raise ComputationError(
-            "annulus mapping class did not act as an integer twist power"
-        )
-    return FDTCResult(interval.lo, interval, "PeriodicityCorollary", N=1,
-                      M=int(interval.lo), D=1)
-
-
 def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
     """c(w, C) as an exact rational.
 
     Runs the bracketing once, at N = D(D-1)+1: two distinct rationals of
     denominator at most D lie at least 1/(D(D-1)) apart, more than the
-    width 1/N, so the closed window holds at most one of them."""
+    width 1/N, so the closed window holds at most one of them.  On the
+    annulus D = 1, so N = 1 and the bracket is the integer twist power
+    itself."""
     tri = w.tri
     if C not in tri.base_edge_of:
         raise WordError("unknown boundary label %r" % (C,))
-    if tri.surface.puncture_count:
+    spec = tri.surface
+    if spec.puncture_count:
         perm = w.puncture_permutation()
         if perm != tuple(range(len(perm))):
             raise WordError(
                 "word permutes punctures; use braid_fdtc, which normalizes "
                 "by the permutation order"
             )
-    folded = tri.surface.fold_punctures()
-    db = denominator_bound(folded)
-    if db.degenerate:
-        if folded.boundary_count == 1:
-            # disc: the mapping class group is trivial, c = 0
-            return FDTCResult(Fraction(0), _point(Fraction(0)),
-                              "PeriodicityCorollary", N=1, M=0, D=1)
-        return _annulus_winding(w, C)
-    D = db.value
+    if spec.genus == 0 and spec.boundary_count == 1 \
+            and spec.puncture_count <= 1:
+        # a disc with at most one puncture has no essential arc, and its
+        # mapping class group is trivial (Alexander lemma): c = 0
+        return FDTCResult(Fraction(0), _point(Fraction(0)),
+                          "PeriodicityCorollary", N=1, M=0, D=1)
+    D = denominator_bound(spec.fold_punctures()).value
     N = D * (D - 1) + 1
     interval = key_lemma_interval(w, C, _first_probe_arc(tri, C), N)
     M = int(interval.lo * N)

@@ -18,7 +18,6 @@ role of a blown-up base point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 
 from .errors import TriangulationError
 
@@ -79,11 +78,24 @@ class SurfaceSpec:
 
     @staticmethod
     def from_json(data: dict) -> "SurfaceSpec":
+        """The spec as written: integer genus and punctures, and a list
+        of string labels; anything else raises ValueError."""
+        labels = data["boundary"]
+        if not isinstance(labels, list) or not all(
+                isinstance(x, str) for x in labels):
+            raise ValueError("boundary must be a list of labels, not %r"
+                             % (labels,))
         return SurfaceSpec(
-            int(data["genus"]),
-            tuple(data["boundary"]),
-            int(data.get("punctures", 0)),
+            _integer(data["genus"], "genus"),
+            tuple(labels),
+            _integer(data.get("punctures", 0), "punctures"),
         )
+
+
+def _integer(x, what: str) -> int:
+    if type(x) is not int:  # bool is not an integer here
+        raise ValueError("%s must be an integer, not %r" % (what, x))
+    return x
 
 
 @dataclass(frozen=True)
@@ -201,16 +213,6 @@ class Triangulation:
     @property
     def puncture_vertices(self) -> list[int]:
         return [i for i, v in enumerate(self.vertices) if not v["boundary"]]
-
-    def base_point_of(self, label: str) -> int:
-        """Vertex id of the base point of a boundary component (the start
-        vertex of the base edge, in boundary orientation)."""
-        eps = self.base_edge_of[label]
-        (t, k) = self.incidences[eps][0]
-        return self.vertex_of_corner[(t, k)]
-
-    def side(self, t: int, k: int) -> Side:
-        return self.triangles[t][k % 3]
 
     def other_incidence(self, e: int, t: int, k: int) -> tuple[int, int]:
         for (t2, k2) in self.incidences[e]:
@@ -349,16 +351,6 @@ class Triangulation:
             "boundary_cycles": boundary_cycles,
         }
         return self._derived
-
-    def to_json(self) -> dict:
-        return {
-            "surface": self.surface.to_json(),
-            "triangles": [[[e, s] for (e, s) in tri] for tri in self.triangles],
-            "boundary_edges": {
-                str(e): lab for e, lab in sorted(self.boundary_label_of_edge.items())
-            },
-            "base_edges": dict(sorted(self.base_edge_of.items())),
-        }
 
 
 def validate_triangulation(t: Triangulation) -> list[str]:

@@ -254,6 +254,21 @@ class TestMain:
         with pytest.raises(ParseError, match="bad curve 'a'"):
             parse_problem(json.dumps(data))
 
+    @pytest.mark.parametrize("surface", [
+        {"genus": 1.5, "boundary": ["S"]},
+        {"genus": True, "boundary": ["S"]},
+        {"genus": "1", "boundary": ["S"]},
+        {"genus": 1, "boundary": "SC"},
+        {"genus": 1, "boundary": [1, 2]},
+        {"genus": 0, "boundary": ["C"], "punctures": 2.0},
+    ])
+    def test_surface_read_as_written(self, capsys, surface):
+        problem = json.dumps({"surface": surface})
+        assert main(["surface", "info", problem]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: bad surface: ")
+        assert "Traceback" not in err
+
     def test_unknown_component(self, torus_file):
         assert main(["fdtc", "exact", torus_file, "--word", "phi",
                      "--component", "Z"]) == EXIT_PARSE

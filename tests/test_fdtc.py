@@ -110,6 +110,13 @@ class TestBoundaryCalibration:
             # the twist on one annulus component equals the other
             assert fdtc_exact(w, "C2").value == k
 
+    def test_once_punctured_disc_is_zero(self):
+        # no essential arc, and a trivial mapping class group
+        tri = standard_triangulation(SurfaceSpec(0, ("C",), 1))
+        w = MappingClassWord(tri, [Generator.boundary("C", 3)])
+        for res in (fdtc_exact(w, "C"), braid_fdtc(w, "C")):
+            assert res.value == 0 and res.interval.is_point
+
     def test_other_component_untouched(self, two_holed_torus_tri):
         w = MappingClassWord(two_holed_torus_tri,
                              [Generator.boundary("C1", 2)])
@@ -376,14 +383,43 @@ class TestBoundaryPowerClosedForm:
         monkeypatch.setattr(curves, "enumerate_arcs", fail)
         assert _first_probe_arc(tri, "S") is gamma
 
-    def test_genus2_chain_needs_no_boundary_twist(self, monkeypatch):
+    def test_key_lemma_needs_no_collar_drag(self, monkeypatch):
+        # T_C^m(gamma) replays the compiled boundary letter; the drag is
+        # only the tests' reference.  Fresh triangulations, since the
+        # power chains are cached on them.
         def fail(*args, **kwargs):
-            raise AssertionError("boundary twist compiled")
+            raise AssertionError("collar drag reached")
 
-        monkeypatch.setattr(engine, "boundary_twist_encoding", fail)
-        tri = standard_triangulation(SurfaceSpec(2, ("S",)))
+        monkeypatch.setattr(curves, "boundary_drag", fail)
+
+        def fresh(genus, labels, punctures=0):
+            return standard_triangulation(
+                SurfaceSpec(genus, labels, punctures))
+
+        tri = fresh(1, ("S",))
+        w = MappingClassWord(tri, [Generator.twist(TORUS_A),
+                                   Generator.twist(TORUS_B)])
+        assert fdtc_exact(w, "S").value == Fraction(1, 6)
+        tri = fresh(1, ("C1", "C2"))
+        w = MappingClassWord(tri, [Generator.twist(c) for c in
+                                   (TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C)])
+        for C in ("C1", "C2"):
+            assert fdtc_exact(w, C).value == Fraction(1, 4)
+        tri = fresh(2, ("S",))
         w = MappingClassWord(tri, [Generator.twist(c) for c in GENUS2_CHAIN])
         assert fdtc_exact(w, "S").value == Fraction(1, 10)
+        tri = fresh(3, ("S",))
+        w = MappingClassWord(tri, [Generator.boundary("S", -3)])
+        assert fdtc_exact(w, "S").value == -3
+        tri = fresh(0, ("C",), 3)
+        w = MappingClassWord(tri, [Generator.braid(1), Generator.braid(2)])
+        assert braid_fdtc(w, "C").value == Fraction(1, 3)
+        tri = fresh(0, ("C1", "C2"))
+        w = MappingClassWord(tri, [Generator.boundary("C1", -4),
+                                   Generator.boundary("C2", 2)])
+        for C in ("C1", "C2"):
+            res = fdtc_exact(w, C)
+            assert (res.value, res.N, res.M, res.D) == (-2, 1, -2, 1)
 
 
 def _bisection(rel, N, half):
