@@ -306,11 +306,13 @@ def _lap_map(w, loop, q: int, cap: int):
 
 
 def _collar_loop(tri: Triangulation, label: str, direction: int, edge: int):
-    """((t, k), loop): the collar loop of ``label`` run in ``direction``,
-    entered through side k of triangle t where the wrap from boundary
-    edge ``edge`` comes back to that edge.  Each passage of the loop is
-    (entry edge, k+1 edge, k+2 edge, whether it leaves by the k+2 side,
-    the exit edge when the gluing reverses positions there or -1)."""
+    """((t, k), loop, wrap): the collar loop of ``label`` run in
+    ``direction``, entered through side k of triangle t where the wrap
+    from boundary edge ``edge`` comes back to that edge, and the passages
+    of that wrap (``_boundary_wrap``), kept beside it.  Each passage of
+    the loop is (entry edge, k+1 edge, k+2 edge, whether it leaves by the
+    k+2 side, the exit edge when the gluing reverses positions there or
+    -1)."""
     key = ("collar_loop", label, direction, edge)
     if key not in tri._cache:
         wrap, kin = _boundary_wrap(tri, label, direction, edge)
@@ -322,7 +324,7 @@ def _collar_loop(tri: Triangulation, label: str, direction: int, edge: int):
             flipped = gluing[t][k2][2]
             loop.append((sides[k][0], sides[_NEXT[k]][0], sides[_PREV[k]][0],
                          k2 == _PREV[k], sides[k2][0] if flipped else -1))
-        tri._cache[key] = ((t0, kin), tuple(loop))
+        tri._cache[key] = ((t0, kin), tuple(loop), tuple(wrap))
     return tri._cache[key]
 
 
@@ -334,8 +336,9 @@ def _collar_entries(tri: Triangulation):
         for label, boundary in tri.boundary_cycles.items():
             for (t, k) in boundary:
                 for direction in (1, -1):
-                    (t1, k1), loop = _collar_loop(tri, label, direction,
-                                                  tri.triangles[t][k][0])
+                    edge = tri.triangles[t][k][0]
+                    (t1, k1), loop, _wrap = _collar_loop(tri, label,
+                                                         direction, edge)
                     if loop not in table[t1][k1]:
                         table[t1][k1] += (loop,)
         tri._cache["collar_entries"] = table
@@ -870,15 +873,15 @@ def collar_laps(g: ArcClass, direction: int) -> int:
     _check_direction(direction)
     tri = g.tri
     label = g.start[0]
-    wrap, kin = _boundary_wrap(tri, label, direction)
-    t0, k0, _k1 = wrap[0]
+    (t0, kin), loop, wrap = _collar_loop(tri, label, direction,
+                                         tri.base_edge_of[label])
+    k0 = wrap[0][1]
     c = g.coords
     budget = c.total_weight + 1
     first = list(_walk(c, t0, k0, _position(c, t0, k0, g.start[1]),
                        min(budget, len(wrap))))
     if [p[2] for p in first] != [k_out for (_t, _k, k_out) in wrap]:
         return 0
-    _entry, loop = _collar_loop(tri, label, direction, tri.base_edge_of[label])
     q = _position(c, t0, kin, first[-1][4])
     laps, _shift = _lap_map(c.weights, loop, q,
                             (budget - len(loop)) // len(loop))

@@ -10,6 +10,16 @@ coefficient; equality at the bracket end pins the point value M/N
 directly.  Everything is integer/rational arithmetic on normal
 coordinates, so results are exact.
 
+The twist T_C along the boundary is central among the mapping classes
+that fix the boundary pointwise: f T_C f^-1 = T_f(C) = T_C.  So a word
+splits as phi = T_C^k rest (``MappingClassWord.boundary_split``) and
+phi^N = T_C^(kN) rest^N.  T_C^(-kN) keeps the left-to-right order at the
+base point, so M(T_C^k rest, N) = M(rest, N) + kN and
+c(T_C^k rest, C) = c(rest, C) + k: the Key Lemma brackets rest and
+shifts the bracket, and no T_C letter is replayed, whatever its power.
+Letters of the other components stay in rest: they move the far end of
+gamma.
+
 T_C^m(gamma) is the m-th replay of the compiled boundary letter
 (``engine.boundary_twist_encoding``) on the weights of gamma; the twist
 fixes the boundary pointwise, so gamma keeps its start slot.  Once one
@@ -17,17 +27,18 @@ replay adds one lap per endpoint of gamma on C, every later replay adds
 the same, so T_C^m(gamma) = D + (|m| - j) k c_C with D the j-th power,
 k the number of endpoints on C and c_C the boundary-parallel curve.  The
 search for M compares at m = 0 for the sign of M, reads a guess for |M|
-off the collar laps that phi^N(gamma) makes before leaving the collar
+off the collar laps that rest^N(gamma) makes before leaving the collar
 (``curves.collar_laps``), and brackets M by a gallop from the guess and
-a bisection: about three comparisons per interval.  phi^N(gamma) resumes
-from the furthest point of the orbit of gamma that the word keeps
-(``MappingClassWord.orbit_arc``): a sweep to N_max applies w N_max times.
+a bisection: about three comparisons per interval.  rest^N(gamma)
+resumes from the furthest point of the orbit of gamma that rest keeps
+(``MappingClassWord.orbit_arc``): a sweep to N_max applies rest N_max
+times.
 
-Both T_C^m(gamma) and phi^N(gamma) spiral around the collar of C about
-|M| times.  The comparisons and the lap count skip the whole laps of
-those spirals in closed form (``curves._lap_map``), so each costs about
-one lap plus the walk outside the spirals, not |M| laps, and a sweep to
-N_max is no longer quadratic in N_max.
+Both T_C^m(gamma) and rest^N(gamma) spiral around the collar of C about
+|M| times, M being that of rest.  The comparisons and the lap count skip
+the whole laps of those spirals in closed form (``curves._lap_map``), so
+each costs about one lap plus the walk outside the spirals, not |M|
+laps, and a sweep to N_max is no longer quadratic in N_max.
 """
 
 from __future__ import annotations
@@ -172,18 +183,22 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
                        N: int) -> RationalInterval:
     """Bracket c(w, C) in [M/N, (M+1)/N] from the action of w^N on one
     essential probe arc; equality at the lower bracket collapses to the
-    exact point M/N.  w^N(gamma) resumes from the word's orbit point.
+    exact point M/N.
 
-    M is the largest m with T_C^m(gamma) >= w^N(gamma), searched in
-    [-half, half].  The comparison at m = 0 gives the sign of M; w^N(gamma)
-    then follows the collar spiral of that sign for about |M| laps, which
-    one walk reads off as the first guess.  A gallop from the guess finds
-    a bracket and a bisection closes it.  Every bracket end is a
-    comparison actually made, and the relation is monotone in m, so the
-    guess only decides how many comparisons are made.  A range end is
-    compared only when the search reaches it.  Each comparison, and the
-    lap count, skips the whole collar laps the arcs share, so its cost
-    does not grow with |M|."""
+    T_C is central, so w = T_C^k rest (``MappingClassWord.boundary_split``)
+    and M(w, N) = M(rest, N) + kN: the search brackets rest, whose orbit
+    point rest^N(gamma) resumes from the one rest keeps, and shifts the
+    bracket by kN.  M(rest, N) is the largest m with
+    T_C^m(gamma) >= rest^N(gamma), searched in [-half, half].  The
+    comparison at m = 0 gives its sign; rest^N(gamma) then follows the
+    collar spiral of that sign for about |M| laps, which one walk reads
+    off as the first guess.  A gallop from the guess finds a bracket and a
+    bisection closes it.  Every bracket end is a comparison actually
+    made, and the relation is monotone in m, so the guess only decides
+    how many comparisons are made.  A range end is compared only when the
+    search reaches it.  Each comparison, and the lap count, skips the
+    whole collar laps the arcs share, so its cost does not grow with
+    |M|."""
     if N < 1:
         raise ComputationError("N must be a positive integer")
     tri = w.tri
@@ -193,8 +208,9 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
         raise CurveError("probe arc must start on %r" % (C,))
     if not curves.is_essential(gamma):
         raise CurveError("Key Lemma requires essential arc")
-    phi_arc = w.orbit_arc(gamma, N)
-    half = 2 * N * max(len(w), 1) + 2
+    rest, k = w.boundary_split(C)
+    phi_arc = rest.orbit_arc(gamma, N)
+    half = 2 * N * max(len(rest), 1) + 2
     # T_C^lo(gamma) >= phi_arc > T_C^hi(gamma); an end not compared yet
     # sits just outside the range
     lo, hi = -half - 1, half + 1
@@ -204,7 +220,7 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
         rel = curves.compare_at_base(_boundary_power_arc(gamma, C, m),
                                      phi_arc, C)
         if rel is curves.Ordering.EQUAL:
-            return _point(Fraction(m, N))
+            return _point(Fraction(m + k * N, N))
         went_up = rel is curves.Ordering.RIGHT_OF
         if went_up:
             if m == half:
@@ -234,7 +250,8 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
             galloping = False
             m = (lo + hi) // 2
         m = min(max(m, lo + 1), hi - 1)
-    return RationalInterval(Fraction(lo, N), Fraction(hi, N), True, True)
+    return RationalInterval(Fraction(lo + k * N, N), Fraction(hi + k * N, N),
+                            True, True)
 
 
 def _point(x: Fraction) -> RationalInterval:

@@ -91,6 +91,7 @@ class MappingClassWord:
         self.generators = tuple(gens)
         self._encoding = None
         self._orbit = None  # (gamma, n, w^n(gamma)) of the last orbit_arc
+        self._splits = {}  # label -> boundary_split(label)
 
     # -- construction checks ----------------------------------------------
 
@@ -130,6 +131,26 @@ class MappingClassWord:
         base = self if k > 0 else self.invert()
         gens = base.generators * abs(k)
         return MappingClassWord(self.tri, gens)
+
+    def boundary_split(self, label: str):
+        """(rest, k): the word without its boundary letters of ``label``
+        and the sum of their powers, kept per label.  The boundary twist
+        is central, so the word is T_label^k rest.  Letters the removal
+        brings together still cancel; other components' letters stay."""
+        if label not in self._splits:
+            rest, k = [], 0
+            for g in self.generators:
+                if g.kind == "boundary" and g.label == label:
+                    k += g.power
+                else:
+                    rest.append(g)
+            # None: the word is its own rest, kept out of a reference
+            # cycle with its own cache
+            self._splits[label] = (
+                MappingClassWord(self.tri, rest)
+                if len(rest) < len(self.generators) else None, k)
+        rest, k = self._splits[label]
+        return self if rest is None else rest, k
 
     def __len__(self) -> int:
         return sum(abs(g.power) for g in self.generators)

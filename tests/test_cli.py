@@ -219,14 +219,29 @@ class TestMain:
         assert main(["fdtc", "braid", str(path)]) == EXIT_OK
 
     def test_huge_power_exit(self, capsys):
-        # T_S^(10^9) on S_{1,1} would be a 6*10^9-flip script
+        # boundary letters are split off the word, never replayed, so a
+        # huge boundary power answers; a twist letter of that power would
+        # be a 10^9-flip script and is refused by the cap
+        a, b = [0, 1, 0, 1, 1], [1, 0, 0, 1, 0]
+        for word, want in [
+            ([{"boundary": "S", "power": 10 ** 9}], "1000000000"),
+            ([{"boundary": "S", "power": -10 ** 9}, {"curve": a},
+              {"curve": b}], "-5999999999/6"),
+        ]:
+            problem = json.dumps({
+                "surface": {"genus": 1, "boundary": ["S"]},
+                "words": {"w": word},
+            })
+            assert main(["fdtc", "exact", problem]) == EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            assert out["results"][0]["value"] == want
         problem = json.dumps({
             "surface": {"genus": 1, "boundary": ["S"]},
-            "words": {"w": [{"boundary": "S", "power": 10 ** 9}]},
+            "words": {"w": [{"curve": a, "power": 10 ** 9}]},
         })
         assert main(["fdtc", "exact", problem]) == EXIT_COMPUTATION
         err = capsys.readouterr().err
-        assert err == ("computation error: script of 6000000000 flips "
+        assert err == ("computation error: script of 1000000000 flips "
                        "exceeds the cap of 10000000\n")
 
     @pytest.mark.parametrize("item", [3, {"twist": "a", "power": 1.5}])

@@ -237,6 +237,75 @@ class TestKeyLemmaInterval:
         check()
 
 
+class TestBoundaryShift:
+    """The Key Lemma brackets the word without its letters of C and
+    shifts M by kN; the reference replays every letter of w^N."""
+
+    @pytest.mark.parametrize("fixture,C,letters", [
+        ("torus_tri", "S",
+         [Generator.twist(TORUS_A), Generator.twist(TORUS_B)]),
+        ("two_holed_torus_tri", "C1",
+         [Generator.twist(c) for c in (TWO_HOLED_A, TWO_HOLED_B,
+                                       TWO_HOLED_C)]
+         + [Generator.boundary("C2")]),
+        ("two_holed_torus_tri", "C2",
+         [Generator.twist(c) for c in (TWO_HOLED_A, TWO_HOLED_B,
+                                       TWO_HOLED_C)]
+         + [Generator.boundary("C1")]),
+        ("disc3_tri", "C", [Generator.braid(1, 2), Generator.braid(2, 2)]),
+        ("annulus_tri", "C1", [Generator.boundary("C2")]),
+    ])
+    def test_matches_replayed_word(self, fixture, C, letters, request):
+        tri = request.getfixturevalue(fixture)
+        gamma = _first_probe_arc(tri, C)
+        rng = random.Random(fixture + C)
+
+        def twisted(m):
+            return MappingClassWord(
+                tri, [Generator.boundary(C, m)]).apply_arc(gamma)
+
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.4:
+                    gens.append(Generator.boundary(C, rng.randint(-20, 20)))
+                else:
+                    g = rng.choice(letters)
+                    gens.append(Generator(g.kind, g.power * rng.choice(
+                        [1, -1, 2]), g.curve, g.label, g.index))
+            w = MappingClassWord(tri, gens)
+            N = rng.randint(1, 4)
+            iv = key_lemma_interval(w, C, gamma, N)
+            assert (iv.lo * N).denominator == 1
+            M = int(iv.lo * N)
+            ref = w.power(N).apply_arc(gamma)
+            assert compare_at_base(twisted(M), ref, C) is (
+                Ordering.EQUAL if iv.is_point else Ordering.RIGHT_OF)
+            assert compare_at_base(twisted(M + 1), ref, C) \
+                is Ordering.LEFT_OF
+
+    def test_sweep_replays_only_the_split_word(self, monkeypatch):
+        # a fresh triangulation, so that the boundary letter's power chain
+        # is built inside the count
+        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        applied = []
+        forward = engine.Encoding.forward
+
+        def counted(self, x):
+            applied.append(self)
+            return forward(self, x)
+
+        monkeypatch.setattr(engine.Encoding, "forward", counted)
+        w = MappingClassWord(tri, [Generator.boundary("S", 20),
+                                   Generator.twist(TORUS_A),
+                                   Generator.twist(TORUS_B)])
+        ivs = translation_estimate(w, "S", 64)
+        assert all(iv.contains(Fraction(121, 6)) for iv in ivs)
+        rest = w.boundary_split("S")[0].encoding()
+        assert applied.count(rest) == 64
+        assert len(applied) <= 64 + 4
+
+
 class TestBraid:
     def test_half_twist_powers(self, disc2_tri):
         for k in (1, 2, 3):

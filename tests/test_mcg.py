@@ -12,7 +12,7 @@ from fdtc.mcg import (
     identity_word,
     puncture_permutation_order,
 )
-from conftest import TORUS_A, TORUS_B
+from conftest import TORUS_A, TORUS_B, TWO_HOLED_A
 
 
 def _random_word(tri, rng, length, letters):
@@ -52,6 +52,33 @@ class TestWordConstruction:
         w = MappingClassWord(torus_tri, [
             Generator.twist(TORUS_A, 2), Generator.twist(TORUS_B, -3)])
         assert len(w) == 5
+
+
+class TestBoundarySplit:
+    def test_split_at_each_component(self, two_holed_torus_tri):
+        a = Generator.twist(TWO_HOLED_A)
+        w = MappingClassWord(two_holed_torus_tri, [
+            Generator.boundary("C1", 3), a, Generator.boundary("C2", -2),
+            Generator.boundary("C1", -5)])
+        rest, k = w.boundary_split("C1")
+        assert k == -2
+        assert rest.generators == (a, Generator.boundary("C2", -2))
+        assert w.boundary_split("C1")[0] is rest
+        rest, k = w.boundary_split("C2")
+        assert k == -2
+        assert rest.generators == (Generator.boundary("C1", 3), a,
+                                   Generator.boundary("C1", -5))
+
+    def test_neighbours_cancel(self, torus_tri):
+        w = MappingClassWord(torus_tri, [
+            Generator.twist(TORUS_A), Generator.boundary("S", 4),
+            Generator.twist(TORUS_A, -1)])
+        rest, k = w.boundary_split("S")
+        assert rest.is_identity_word() and k == 4
+
+    def test_word_without_the_letter_is_its_own_rest(self, torus_tri):
+        w = MappingClassWord(torus_tri, [Generator.twist(TORUS_A)])
+        assert w.boundary_split("S") == (w, 0)
 
 
 class TestGroupAction:
