@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FdtcError, FoliationError, InconsistentDataError, WordError
-from .surface import SurfaceSpec, standard_triangulation, denominator_bound
+from .surface import (SurfaceSpec, checked_flag, denominator_bound,
+                      standard_triangulation)
 from .mcg import MappingClassWord, checked_curve
 from . import fdtc as fdtc_mod
 from . import foliation as fol_mod
@@ -145,17 +146,19 @@ def parse_problem(source) -> ProblemFile:
                 {k: _fraction(v, "assignment") for (k, v)
                  in a["coefficients"].items()},
                 a.get("mode", "monodromy"),
-                bool(a.get("connected_boundary", False)),
+                checked_flag(a.get("connected_boundary", False),
+                             "connected_boundary"),
             )
-        except (KeyError, TypeError, InconsistentDataError) as exc:
+        except (KeyError, TypeError, ValueError, InconsistentDataError) as exc:
             raise ParseError("bad assignment: %s" % (exc,), "assignment")
 
     nt_type = data.get("nt_type")
     if nt_type is not None and nt_type not in top_mod.NT_TYPES:
         raise ParseError("unknown nt_type %r" % (nt_type,), "nt_type")
 
+    tight = checked_flag(data.get("tight", False), "tight", ParseError)
     problem = ProblemFile(spec, curves, words, foliations, assignment,
-                          nt_type, bool(data.get("tight", False)))
+                          nt_type, tight)
     problem._tri = tri
     # eagerly check that every word compiles against the generator checks
     for name in words:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 
 from .errors import ComputationError, CurveError, InconsistentDataError, WordError
 from .surface import denominator_bound
@@ -259,54 +258,25 @@ def _point(x: Fraction) -> RationalInterval:
 
 
 # ---------------------------------------------------------------------------
-# bounded-denominator recovery
-
-
-def _sb_collect(lo: Fraction, hi: Fraction, interval: RationalInterval,
-                la: tuple, lb: tuple, D: int, out: list):
-    """Stern-Brocot descent collecting all reduced p/q with q <= D inside
-    the interval, between the current bounds la=(p,q) < lb=(p',q')."""
-    stack = [(la, lb)]
-    while stack:
-        (pa, qa), (pb, qb) = stack.pop()
-        pm, qm = pa + pb, qa + qb
-        if qm > D:
-            continue
-        med = Fraction(pm, qm)
-        if interval.contains(med):
-            out.append(med)
-        if med > lo:
-            stack.append(((pa, qa), (pm, qm)))
-        if med < hi:
-            stack.append(((pm, qm), (pb, qb)))
+# bounded-denominator recovery, by its definition: each q <= D in turn
 
 
 def bounded_denominator_candidates(interval: RationalInterval, D: int) -> list:
     """All reduced rationals with denominator <= D in the interval,
-    sorted increasingly, found by Stern-Brocot descent after splitting
-    off the integer part."""
+    sorted increasingly: for each q <= D, the numerators p from
+    ceil(lo q) to floor(hi q), one step in at an open end that p/q hits
+    exactly."""
     if D < 1:
         raise ComputationError("denominator bound must be positive")
     lo, hi = interval.lo, interval.hi
-    if lo == hi:
-        return [lo] if lo.denominator <= D else []
-    found = []
-    for n in range(floor(lo), ceil(hi) + 1):
-        if interval.contains(n):
-            found.append(Fraction(n))
-    # search each unit window [n, n+1] via the Stern-Brocot tree of (0,1)
-    for n in range(floor(lo), ceil(hi)):
-        shifted = RationalInterval(
-            max(lo - n, Fraction(0)), min(hi - n, Fraction(1)),
-            interval.lo_closed if lo - n > 0 else False,
-            interval.hi_closed if hi - n < 1 else False,
-        ) if lo - n != hi - n else None
-        if shifted is None:
-            continue
-        local = []
-        _sb_collect(shifted.lo, shifted.hi, shifted, (0, 1), (1, 1), D, local)
-        found.extend(x + n for x in local)
-    return sorted(set(found))
+    found = set()
+    for q in range(1, D + 1):
+        first, r = divmod(lo.numerator * q, lo.denominator)
+        first += bool(r) or not interval.lo_closed
+        last, r = divmod(hi.numerator * q, hi.denominator)
+        last -= not (r or interval.hi_closed)
+        found.update(Fraction(p, q) for p in range(first, last + 1))
+    return sorted(found)
 
 
 def unique_bounded_denominator(interval: RationalInterval, D: int):

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import ceil, gcd
 
 from .errors import FoliationError, InconsistentDataError
+from .surface import checked_flag, checked_integer
 
 REGION_TYPES = ("aa", "ab", "bb", "ac", "bc", "cc")
 
@@ -155,20 +156,26 @@ class FoliationGraph:
     def from_json(data: dict) -> "FoliationGraph":
         try:
             surf = data["surface"]
-            surface = SurfaceTopology(int(surf["genus"]), int(surf["boundary_count"]))
+            surface = SurfaceTopology(checked_integer(surf["genus"], "genus"),
+                                      checked_integer(surf["boundary_count"],
+                                                      "boundary_count"))
             ells = tuple(
                 EllipticPoint(
-                    str(v["id"]), int(v["sign"]), str(v.get("boundary_label", "")),
-                    bool(v.get("essential", False)),
-                    bool(v.get("strongly_essential", False)),
-                    bool(v.get("a_arcs_present", True)),
+                    str(v["id"]), checked_integer(v["sign"], "sign"),
+                    str(v.get("boundary_label", "")),
+                    checked_flag(v.get("essential", False), "essential"),
+                    checked_flag(v.get("strongly_essential", False),
+                                 "strongly_essential"),
+                    checked_flag(v.get("a_arcs_present", True),
+                                 "a_arcs_present"),
                 )
                 for v in data["elliptic_points"]
             )
             hyps = tuple(
                 HyperbolicPoint(
-                    str(h["id"]), int(h["sign"]), str(h["region_type"]),
-                    bool(h.get("degenerated", False)),
+                    str(h["id"]), checked_integer(h["sign"], "sign"),
+                    str(h["region_type"]),
+                    checked_flag(h.get("degenerated", False), "degenerated"),
                 )
                 for h in data["hyperbolic_points"]
             )
@@ -178,7 +185,9 @@ class FoliationGraph:
             cc = data.get("c_circles", {})
             return FoliationGraph(
                 surface, ells, hyps, inc,
-                bool(cc.get("present", False)), bool(cc.get("essential", False)),
+                checked_flag(cc.get("present", False), "c_circles.present"),
+                checked_flag(cc.get("essential", False),
+                             "c_circles.essential"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FoliationError("malformed foliation graph: %s" % (exc,))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import CurveError, WordError
-from .surface import Triangulation
+from .surface import Triangulation, checked_integer
 from . import curves
 from . import engine
 
@@ -97,6 +97,7 @@ class MappingClassWord:
 
     def _check(self, g: Generator):
         tri = self.tri
+        checked_integer(g.power, "power", WordError)
         if g.kind == "twist":
             if g.curve is None or len(g.curve) != tri.edge_count:
                 raise WordError("twist curve does not live on this triangulation")
@@ -233,7 +234,7 @@ class MappingClassWord:
         for item in data:
             if not isinstance(item, dict):
                 raise WordError("generator record %r is not an object" % (item,))
-            power = _integer(item.get("power", 1), "power")
+            power = item.get("power", 1)
             if "curve" in item:
                 gens.append(Generator.twist(checked_curve(tri, item["curve"]),
                                             power))
@@ -246,7 +247,7 @@ class MappingClassWord:
             elif "boundary" in item:
                 gens.append(Generator.boundary(item["boundary"], power))
             elif "braid" in item:
-                index = _integer(item["braid"], "braid")
+                index = checked_integer(item["braid"], "braid", WordError)
                 gens.append(Generator.braid(index, power))
             else:
                 raise WordError("unrecognised generator record %r" % (item,))
@@ -260,7 +261,7 @@ def checked_curve(tri: Triangulation, weights) -> tuple:
     if not isinstance(weights, (list, tuple)):
         raise WordError("curve must be a list, not %r" % (weights,))
     for x in weights:
-        if _integer(x, "curve weight") < 0:
+        if checked_integer(x, "curve weight", WordError) < 0:
             raise WordError("curve weight %d is negative" % (x,))
     if len(weights) != tri.edge_count:
         raise WordError("curve has %d weights, expected %d"
@@ -269,12 +270,6 @@ def checked_curve(tri: Triangulation, weights) -> tuple:
         raise WordError("curve %r violates the matching conditions"
                         % (list(weights),))
     return tuple(weights)
-
-
-def _integer(x, what: str) -> int:
-    if type(x) is not int:  # bool is not an integer here
-        raise WordError("%s must be an integer, not %r" % (what, x))
-    return x
 
 
 def identity_word(tri: Triangulation) -> MappingClassWord:

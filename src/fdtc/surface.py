@@ -86,15 +86,24 @@ class SurfaceSpec:
             raise ValueError("boundary must be a list of labels, not %r"
                              % (labels,))
         return SurfaceSpec(
-            _integer(data["genus"], "genus"),
+            checked_integer(data["genus"], "genus"),
             tuple(labels),
-            _integer(data.get("punctures", 0), "punctures"),
+            checked_integer(data.get("punctures", 0), "punctures"),
         )
 
 
-def _integer(x, what: str) -> int:
+def checked_integer(x, what: str, error=ValueError) -> int:
+    """x if it is an int and not a bool, else raises ``error``: the one
+    check of integers read from JSON and of letter powers."""
     if type(x) is not int:  # bool is not an integer here
-        raise ValueError("%s must be an integer, not %r" % (what, x))
+        raise error("%s must be an integer, not %r" % (what, x))
+    return x
+
+
+def checked_flag(x, what: str, error=ValueError) -> bool:
+    """x if it is a bool (JSON true or false), else raises ``error``."""
+    if type(x) is not bool:
+        raise error("%s must be true or false, not %r" % (what, x))
     return x
 
 

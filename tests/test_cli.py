@@ -284,6 +284,33 @@ class TestMain:
         assert err.startswith("parse error: bad surface: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field,bad", [
+        ("connected_boundary", "false"),
+        ("connected_boundary", 0),
+        ("tight", "false"),
+    ])
+    def test_classify_flags_read_as_written(self, capsys, field, bad):
+        data = torus_problem()
+        if field == "tight":
+            data["tight"] = bad
+        else:
+            data["assignment"][field] = bad
+        assert main(["classify", json.dumps(data)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field,bad", [("sign", "1"), ("sign", 1.9),
+                                           ("essential", "false")])
+    def test_foliation_read_as_written(self, capsys, field, bad):
+        data = foliation_problem()
+        data["foliations"]["triv"]["elliptic_points"][0][field] = bad
+        assert main(["foliation", "check", json.dumps(data),
+                     "--graph", "triv"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: malformed foliation graph: ")
+        assert "Traceback" not in err
+
     def test_unknown_component(self, torus_file):
         assert main(["fdtc", "exact", torus_file, "--word", "phi",
                      "--component", "Z"]) == EXIT_PARSE

@@ -81,6 +81,50 @@ class TestFareySearch:
             val, err = unique_bounded_denominator(iv, D)
             assert err is None and val == x
 
+    @pytest.mark.parametrize("D", [6, 14, 26])
+    def test_brackets_far_from_zero(self, D):
+        """Width-1/N brackets at |M| near 10^12, random and around a
+        rational of denominator at most D."""
+        N = D * (D - 1) + 1
+        rng = random.Random(D)
+        for _ in range(100):
+            sign = rng.choice((1, -1))
+            q = rng.randint(1, D)
+            x = Fraction(sign * (10 ** 12 * q // N + rng.randint(0, 10 ** 6)),
+                         q)
+            for M in (sign * 10 ** 12 + rng.randint(-10 ** 6, 10 ** 6),
+                      (x * N).__floor__()):
+                iv = RationalInterval(Fraction(M, N), Fraction(M + 1, N))
+                assert bounded_denominator_candidates(iv, D) == \
+                    _brute_candidates(iv, D)
+            assert bounded_denominator_candidates(iv, D) == [x]
+
+    @pytest.mark.parametrize("D", [14, 26])
+    def test_matches_brute_force_high_genus(self, D):
+        rng = random.Random(D)
+        for _ in range(200):
+            a = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+            b = a + Fraction(rng.randint(1, 10), rng.randint(1, 40))
+            iv = RationalInterval(a, b, bool(rng.getrandbits(1)),
+                                  bool(rng.getrandbits(1)))
+            assert bounded_denominator_candidates(iv, D) == \
+                _brute_candidates(iv, D)
+
+    def test_negative_ends_on_candidates(self):
+        """Both ends are themselves rationals of denominator at most D:
+        each is a candidate exactly when its end is closed."""
+        rng = random.Random(41)
+        for _ in range(300):
+            D, n = rng.randint(1, 26), rng.randint(2, 200)
+            a, b = sorted(Fraction(-n * q + rng.randint(0, 2 * q), q)
+                          for q in (rng.randint(1, D), rng.randint(1, D)))
+            closed = (True, True) if a == b else \
+                (bool(rng.getrandbits(1)), bool(rng.getrandbits(1)))
+            iv = RationalInterval(a, b, *closed)
+            found = bounded_denominator_candidates(iv, D)
+            assert found == _brute_candidates(iv, D)
+            assert (a in found, b in found) == closed
+
     def test_ambiguity_reported(self):
         iv = RationalInterval(Fraction(0), Fraction(1), True, True)
         val, err = unique_bounded_denominator(iv, 3)
@@ -304,6 +348,46 @@ class TestBoundaryShift:
         rest = w.boundary_split("S")[0].encoding()
         assert applied.count(rest) == 64
         assert len(applied) <= 64 + 4
+
+
+class TestGroupLaws:
+    """Homogeneity, inversion, the boundary shift and conjugation
+    invariance beyond the one-holed torus, with recovery at D = 6, 10
+    and 2; acceptance criterion 04 checks them on S_{1,1}."""
+
+    @pytest.mark.parametrize("fixture,C,letters", [
+        ("two_holed_torus_tri", "C1",
+         [Generator.twist(c) for c in (TWO_HOLED_A, TWO_HOLED_B,
+                                       TWO_HOLED_C)]
+         + [Generator.boundary("C1"), Generator.boundary("C2")]),
+        ("two_holed_torus_tri", "C2",
+         [Generator.twist(c) for c in (TWO_HOLED_A, TWO_HOLED_B,
+                                       TWO_HOLED_C)]
+         + [Generator.boundary("C1"), Generator.boundary("C2")]),
+        ("genus2_tri", "S", [Generator.twist(c) for c in GENUS2_CHAIN]),
+        ("disc3_tri", "C", [Generator.braid(1, 2), Generator.braid(2, 2)]),
+    ])
+    def test_laws(self, fixture, C, letters, request):
+        tri = request.getfixturevalue(fixture)
+        coefficient = braid_fdtc if tri.surface.puncture_count else fdtc_exact
+        T_C = MappingClassWord(tri, [Generator.boundary(C)])
+        words = st.lists(st.tuples(st.sampled_from(letters),
+                                   st.sampled_from((1, -1))),
+                         min_size=1, max_size=3).map(
+            lambda word: MappingClassWord(tri, [
+                Generator(g.kind, s * g.power, g.curve, g.label, g.index)
+                for (g, s) in word]))
+
+        @settings(max_examples=25, deadline=None)
+        @given(words, words)
+        def check(w, u):
+            c = coefficient(w, C).value
+            assert coefficient(w.power(2), C).value == 2 * c
+            assert coefficient(w.invert(), C).value == -c
+            assert coefficient(T_C.compose(w), C).value == c + 1
+            assert coefficient(u.compose(w).compose(u.invert()), C).value == c
+
+        check()
 
 
 class TestBraid:

@@ -347,3 +347,23 @@ class TestJsonRoundtrip:
     def test_malformed(self):
         with pytest.raises(FoliationError):
             FoliationGraph.from_json({"surface": {}})
+
+    @pytest.mark.parametrize("path,bad", [
+        (("surface", "genus"), 0.7),
+        (("surface", "boundary_count"), True),
+        (("elliptic_points", 0, "sign"), "1"),
+        (("elliptic_points", 0, "sign"), 1.9),
+        (("elliptic_points", 0, "essential"), "false"),
+        (("elliptic_points", 0, "a_arcs_present"), 0),
+        (("hyperbolic_points", 0, "sign"), True),
+        (("hyperbolic_points", 0, "degenerated"), "true"),
+        (("c_circles", "present"), 1),
+    ])
+    def test_read_as_written(self, path, bad):
+        data = trivial_disc_graph().to_json()
+        place = data
+        for key in path[:-1]:
+            place = place[key]
+        place[path[-1]] = bad
+        with pytest.raises(FoliationError, match="must be"):
+            FoliationGraph.from_json(data)

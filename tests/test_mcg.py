@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,15 @@ class TestWordConstruction:
     def test_rejects_braid_without_punctures(self, torus_tri):
         with pytest.raises(WordError):
             MappingClassWord(torus_tri, [Generator.braid(1)])
+
+    @pytest.mark.parametrize("power", [Fraction(2), 2.0, "2", True])
+    def test_rejects_power_that_is_not_an_int(self, torus_tri, disc2_tri,
+                                              power):
+        for tri, g in [(torus_tri, Generator.twist(TORUS_A, power)),
+                       (torus_tri, Generator.boundary("S", power)),
+                       (disc2_tri, Generator.braid(1, power))]:
+            with pytest.raises(WordError, match="power must be an integer"):
+                MappingClassWord(tri, [g])
 
     def test_len_counts_letters(self, torus_tri):
         w = MappingClassWord(torus_tri, [
