@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FdtcError, FoliationError, InconsistentDataError, WordError
-from .surface import (SurfaceSpec, checked_flag, denominator_bound,
-                      standard_triangulation)
+from .surface import (SurfaceSpec, Triangulation, checked_type,
+                      denominator_bound, standard_triangulation)
 from .mcg import MappingClassWord, checked_curve
 from . import fdtc as fdtc_mod
 from . import foliation as fol_mod
@@ -54,33 +54,21 @@ def _fraction(x, where):
 
 @dataclass
 class ProblemFile:
-    """Validated contents of one problem file."""
+    """Validated contents of one problem file, each part built once."""
 
     spec: SurfaceSpec
-    curves: dict
-    words: dict  # name -> generator list (raw JSON, compiled lazily)
+    tri: Triangulation
+    curves: dict  # name -> weight tuple
+    words: dict  # name -> MappingClassWord
     foliations: dict  # name -> FoliationGraph
     assignment: object  # CoefficientAssignment or None
     nt_type: str = None
     tight: bool = False
-    _tri: object = None
 
-    def triangulation(self):
-        if self._tri is None:
-            self._tri = standard_triangulation(self.spec)
-        return self._tri
 
-    def word(self, name: str) -> MappingClassWord:
-        if name not in self.words:
-            raise ParseError("unresolved word %r" % (name,), "words")
-        return MappingClassWord.from_json(
-            self.triangulation(), self.words[name], self.curves)
-
-    def graph(self, name: str):
-        if name not in self.foliations:
-            raise ParseError("unresolved foliation graph %r" % (name,),
-                             "foliations")
-        return self.foliations[name]
+def _section(data: dict, key: str) -> dict:
+    """data[key], or {} when absent; a JSON object, else a ParseError."""
+    return checked_type(data.get(key, {}), dict, key, ParseError)
 
 
 def parse_problem(source) -> ProblemFile:
@@ -112,7 +100,7 @@ def parse_problem(source) -> ProblemFile:
 
     tri = standard_triangulation(spec)
     curves = {}
-    for (name, weights) in data.get("curves", {}).items():
+    for (name, weights) in _section(data, "curves").items():
         try:
             curves[name] = checked_curve(tri, weights)
         except WordError as exc:
@@ -120,19 +108,15 @@ def parse_problem(source) -> ProblemFile:
                              "curves.%s" % name)
 
     words = {}
-    for (name, gens) in data.get("words", {}).items():
-        if not isinstance(gens, list):
-            raise ParseError("word %r must be a list" % (name,),
+    for (name, letters) in _section(data, "words").items():
+        try:
+            words[name] = MappingClassWord.from_json(tri, letters, curves)
+        except WordError as exc:
+            raise ParseError("bad word %r: %s" % (name, exc),
                              "words.%s" % name)
-        for item in gens:
-            twist = item.get("twist") if isinstance(item, dict) else None
-            if isinstance(twist, str) and twist not in curves:
-                raise ParseError("unresolved curve %r" % (twist,),
-                                 "words.%s" % name)
-        words[name] = gens
 
     foliations = {}
-    for (name, g) in data.get("foliations", {}).items():
+    for (name, g) in _section(data, "foliations").items():
         try:
             foliations[name] = fol_mod.FoliationGraph.from_json(g)
         except FoliationError as exc:
@@ -143,10 +127,10 @@ def parse_problem(source) -> ProblemFile:
         a = data["assignment"]
         try:
             assignment = top_mod.CoefficientAssignment(
-                {k: _fraction(v, "assignment") for (k, v)
-                 in a["coefficients"].items()},
+                {k: _fraction(v, "assignment") for (k, v) in checked_type(
+                    a["coefficients"], dict, "coefficients").items()},
                 a.get("mode", "monodromy"),
-                checked_flag(a.get("connected_boundary", False),
+                checked_type(a.get("connected_boundary", False), bool,
                              "connected_boundary"),
             )
         except (KeyError, TypeError, ValueError, InconsistentDataError) as exc:
@@ -156,18 +140,9 @@ def parse_problem(source) -> ProblemFile:
     if nt_type is not None and nt_type not in top_mod.NT_TYPES:
         raise ParseError("unknown nt_type %r" % (nt_type,), "nt_type")
 
-    tight = checked_flag(data.get("tight", False), "tight", ParseError)
-    problem = ProblemFile(spec, curves, words, foliations, assignment,
-                          nt_type, tight)
-    problem._tri = tri
-    # eagerly check that every word compiles against the generator checks
-    for name in words:
-        try:
-            problem.word(name)
-        except WordError as exc:
-            raise ParseError("bad word %r: %s" % (name, exc),
-                             "words.%s" % name)
-    return problem
+    tight = checked_type(data.get("tight", False), bool, "tight", ParseError)
+    return ProblemFile(spec, tri, curves, words, foliations, assignment,
+                       nt_type, tight)
 
 
 # -- report assembly ---------------------------------------------------------
@@ -206,28 +181,30 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
 
 def _pick_component(problem: ProblemFile, component) -> str:
     if component is not None:
-        if component not in problem.triangulation().base_edge_of:
+        if component not in problem.tri.base_edge_of:
             raise ParseError("unknown boundary component %r" % (component,))
         return component
     return problem.spec.boundary_labels[0]
 
 
-def _pick_word(problem: ProblemFile, name) -> str:
-    if name is not None:
-        return name
-    if len(problem.words) == 1:
-        return next(iter(problem.words))
-    raise ParseError("problem has %d words; pick one with --word"
-                     % len(problem.words))
+def _pick(table: dict, name, noun: str):
+    """(name, entry): the named entry of ``table``, else its only one."""
+    if name is None:
+        if len(table) != 1:
+            raise ParseError("problem has %d %ss; pick one with --%s"
+                             % (len(table), noun, noun.split()[-1]))
+        name = next(iter(table))
+    if name not in table:
+        raise ParseError("unresolved %s %r" % (noun, name))
+    return name, table[name]
 
 
 def run(problem: ProblemFile, args) -> Report:
     """Execute one parsed subcommand against a parsed problem."""
     cmd = args.command
     if cmd == "fdtc":
-        name = _pick_word(problem, args.word)
+        (name, w) = _pick(problem.words, args.word, "word")
         C = _pick_component(problem, args.component)
-        w = problem.word(name)
         report = Report("fdtc %s" % args.action,
                         {"word": name, "component": C})
         if args.action == "exact":
@@ -244,9 +221,9 @@ def run(problem: ProblemFile, args) -> Report:
                 report.results.append({"N": i + 1,
                                        "interval": iv.to_json()})
         elif args.action == "audit":
-            w2 = problem.word(_pick_word(problem, args.word2))
+            (report.inputs["word2"], w2) = _pick(problem.words, args.word2,
+                                                 "word")
             audit = fdtc_mod.quasimorphism_audit(w, w2, C)
-            report.inputs["word2"] = args.word2 or args.word
             report.results.append({
                 "c1": str(audit["c1"]),
                 "c2": str(audit["c2"]),
@@ -258,9 +235,8 @@ def run(problem: ProblemFile, args) -> Report:
         return report
 
     if cmd == "foliation":
-        g = problem.graph(_pick_graph(problem, args.graph))
-        report = Report("foliation %s" % args.action,
-                        {"graph": args.graph or next(iter(problem.foliations))})
+        (name, g) = _pick(problem.foliations, args.graph, "foliation graph")
+        report = Report("foliation %s" % args.action, {"graph": name})
         if args.action == "check":
             diags = fol_mod.validate_graph(g)
             counts = g.counts()
@@ -326,7 +302,7 @@ def run(problem: ProblemFile, args) -> Report:
             "denominator_bound": db.value,
             "denominator_bound_degenerate": db.degenerate,
             "key_lemma_power": db.value * (db.value - 1) + 1,
-            "edges": problem.triangulation().edge_count,
+            "edges": problem.tri.edge_count,
             "named_curves": sorted(problem.curves),
             "words": sorted(problem.words),
         }
@@ -334,15 +310,6 @@ def run(problem: ProblemFile, args) -> Report:
         return report
 
     raise ParseError("unknown command %r" % (cmd,))
-
-
-def _pick_graph(problem: ProblemFile, name) -> str:
-    if name is not None:
-        return name
-    if len(problem.foliations) == 1:
-        return next(iter(problem.foliations))
-    raise ParseError("problem has %d foliation graphs; pick one with --graph"
-                     % len(problem.foliations))
 
 
 # -- argument plumbing -------------------------------------------------------

@@ -73,9 +73,6 @@ class NormalCoordinates:
     def total_weight(self) -> int:
         return sum(self.weights)
 
-    def is_empty(self) -> bool:
-        return all(x == 0 for x in self.weights)
-
 
 def matching_diagnostics(c: NormalCoordinates) -> list[tuple[int, str]]:
     """All matching-condition violations as (triangle index, message)."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import ceil, gcd
 
 from .errors import FoliationError, InconsistentDataError
-from .surface import checked_flag, checked_integer
+from .surface import checked_type
 
 REGION_TYPES = ("aa", "ab", "bb", "ac", "bc", "cc")
 
@@ -154,39 +154,49 @@ class FoliationGraph:
 
     @staticmethod
     def from_json(data: dict) -> "FoliationGraph":
+        """The graph as written: integer genus, counts and signs, string
+        ids, labels and region types, JSON flags and a c_circles object;
+        anything else raises FoliationError."""
         try:
             surf = data["surface"]
-            surface = SurfaceTopology(checked_integer(surf["genus"], "genus"),
-                                      checked_integer(surf["boundary_count"],
-                                                      "boundary_count"))
+            surface = SurfaceTopology(
+                checked_type(surf["genus"], int, "genus"),
+                checked_type(surf["boundary_count"], int, "boundary_count"))
             ells = tuple(
                 EllipticPoint(
-                    str(v["id"]), checked_integer(v["sign"], "sign"),
-                    str(v.get("boundary_label", "")),
-                    checked_flag(v.get("essential", False), "essential"),
-                    checked_flag(v.get("strongly_essential", False),
+                    checked_type(v["id"], str, "id"),
+                    checked_type(v["sign"], int, "sign"),
+                    checked_type(v.get("boundary_label", ""), str,
+                                 "boundary_label"),
+                    checked_type(v.get("essential", False), bool, "essential"),
+                    checked_type(v.get("strongly_essential", False), bool,
                                  "strongly_essential"),
-                    checked_flag(v.get("a_arcs_present", True),
+                    checked_type(v.get("a_arcs_present", True), bool,
                                  "a_arcs_present"),
                 )
                 for v in data["elliptic_points"]
             )
             hyps = tuple(
                 HyperbolicPoint(
-                    str(h["id"]), checked_integer(h["sign"], "sign"),
-                    str(h["region_type"]),
-                    checked_flag(h.get("degenerated", False), "degenerated"),
+                    checked_type(h["id"], str, "id"),
+                    checked_type(h["sign"], int, "sign"),
+                    checked_type(h["region_type"], str, "region_type"),
+                    checked_type(h.get("degenerated", False), bool,
+                                 "degenerated"),
                 )
                 for h in data["hyperbolic_points"]
             )
-            inc = tuple(
-                (str(h), str(e)) for (h, e) in data.get("singular_leaf_incidence", [])
-            )
-            cc = data.get("c_circles", {})
+            inc = []
+            for pair in data.get("singular_leaf_incidence", []):
+                (h, e) = checked_type(pair, list, "incidence pair")
+                inc.append((checked_type(h, str, "incidence id"),
+                            checked_type(e, str, "incidence id")))
+            cc = checked_type(data.get("c_circles", {}), dict, "c_circles")
             return FoliationGraph(
-                surface, ells, hyps, inc,
-                checked_flag(cc.get("present", False), "c_circles.present"),
-                checked_flag(cc.get("essential", False),
+                surface, ells, hyps, tuple(inc),
+                checked_type(cc.get("present", False), bool,
+                             "c_circles.present"),
+                checked_type(cc.get("essential", False), bool,
                              "c_circles.essential"),
             )
         except (KeyError, TypeError, ValueError) as exc:

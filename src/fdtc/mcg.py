@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import CurveError, WordError
-from .surface import Triangulation, checked_integer
+from .surface import Triangulation, checked_type
 from . import curves
 from . import engine
 
@@ -27,7 +27,9 @@ class Generator:
 
     Exactly one of ``curve`` (normal coordinates of an essential simple
     closed curve), ``label`` (boundary component) and ``index`` (1-based
-    adjacent puncture pair) is set, according to ``kind``.
+    adjacent puncture pair) is set, according to ``kind``.  ``twist``
+    and ``braid`` check that the weights and the index are integers, once
+    per letter; words built from the letter do not check them again.
     """
 
     kind: str  # "twist" | "boundary" | "braid"
@@ -38,7 +40,10 @@ class Generator:
 
     @staticmethod
     def twist(curve_weights, power: int = 1) -> "Generator":
-        return Generator("twist", power, curve=tuple(curve_weights))
+        curve = tuple(curve_weights)
+        for x in curve:
+            checked_type(x, int, "curve weight", WordError)
+        return Generator("twist", power, curve=curve)
 
     @staticmethod
     def boundary(label: str, power: int = 1) -> "Generator":
@@ -46,7 +51,8 @@ class Generator:
 
     @staticmethod
     def braid(index: int, power: int = 1) -> "Generator":
-        return Generator("braid", power, index=index)
+        return Generator("braid", power,
+                         index=checked_type(index, int, "braid index", WordError))
 
     def inverted(self) -> "Generator":
         return Generator(self.kind, -self.power, self.curve, self.label, self.index)
@@ -97,7 +103,7 @@ class MappingClassWord:
 
     def _check(self, g: Generator):
         tri = self.tri
-        checked_integer(g.power, "power", WordError)
+        checked_type(g.power, int, "power", WordError)
         if g.kind == "twist":
             if g.curve is None or len(g.curve) != tri.edge_count:
                 raise WordError("twist curve does not live on this triangulation")
@@ -230,14 +236,16 @@ class MappingClassWord:
 
     @staticmethod
     def from_json(tri: Triangulation, data, named_curves=None) -> "MappingClassWord":
+        """The word of a JSON list of letter records: the one reader of
+        word records.  Raises WordError on anything malformed."""
         gens = []
-        for item in data:
-            if not isinstance(item, dict):
-                raise WordError("generator record %r is not an object" % (item,))
+        for item in checked_type(data, list, "word", WordError):
+            checked_type(item, dict, "generator record", WordError)
             power = item.get("power", 1)
             if "curve" in item:
-                gens.append(Generator.twist(checked_curve(tri, item["curve"]),
-                                            power))
+                # checked_curve has checked the weights
+                gens.append(Generator("twist", power,
+                                      curve=checked_curve(tri, item["curve"])))
             elif "twist" in item:
                 table = named_curves or {}
                 name = item["twist"]
@@ -247,8 +255,7 @@ class MappingClassWord:
             elif "boundary" in item:
                 gens.append(Generator.boundary(item["boundary"], power))
             elif "braid" in item:
-                index = checked_integer(item["braid"], "braid", WordError)
-                gens.append(Generator.braid(index, power))
+                gens.append(Generator.braid(item["braid"], power))
             else:
                 raise WordError("unrecognised generator record %r" % (item,))
         return MappingClassWord(tri, gens)
@@ -258,10 +265,9 @@ def checked_curve(tri: Triangulation, weights) -> tuple:
     """The weights of a curve read from a problem file, after the checks
     that named and inline curves share: a list of non-negative integers,
     one per edge of ``tri``, satisfying the matching conditions."""
-    if not isinstance(weights, (list, tuple)):
-        raise WordError("curve must be a list, not %r" % (weights,))
+    checked_type(weights, list, "curve", WordError)
     for x in weights:
-        if checked_integer(x, "curve weight", WordError) < 0:
+        if checked_type(x, int, "curve weight", WordError) < 0:
             raise WordError("curve weight %d is negative" % (x,))
     if len(weights) != tri.edge_count:
         raise WordError("curve has %d weights, expected %d"

@@ -86,24 +86,20 @@ class SurfaceSpec:
             raise ValueError("boundary must be a list of labels, not %r"
                              % (labels,))
         return SurfaceSpec(
-            checked_integer(data["genus"], "genus"),
+            checked_type(data["genus"], int, "genus"),
             tuple(labels),
-            checked_integer(data.get("punctures", 0), "punctures"),
+            checked_type(data.get("punctures", 0), int, "punctures"),
         )
 
 
-def checked_integer(x, what: str, error=ValueError) -> int:
-    """x if it is an int and not a bool, else raises ``error``: the one
-    check of integers read from JSON and of letter powers."""
-    if type(x) is not int:  # bool is not an integer here
-        raise error("%s must be an integer, not %r" % (what, x))
-    return x
-
-
-def checked_flag(x, what: str, error=ValueError) -> bool:
-    """x if it is a bool (JSON true or false), else raises ``error``."""
-    if type(x) is not bool:
-        raise error("%s must be true or false, not %r" % (what, x))
+def checked_type(x, kind: type, what: str, error=ValueError):
+    """x if its type is exactly ``kind``, else raises ``error``: the one
+    check of values read from JSON and of letter fields.  A bool is not
+    an int here."""
+    if type(x) is not kind:
+        noun = {int: "an integer", bool: "true or false", str: "a string",
+                list: "a list", dict: "a JSON object"}[kind]
+        raise error("%s must be %s, not %r" % (what, noun, x))
     return x
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from fdtc.cli import (
     run,
 )
 from fdtc.foliation import overtwisted_disc_graph, trivial_disc_graph
+from fdtc.mcg import MappingClassWord
 from conftest import TORUS_A, TORUS_B
 
 
@@ -88,7 +90,7 @@ class TestParseProblem:
         data = torus_problem()
         data["words"]["e"] = []
         p = parse_problem(json.dumps(data))
-        assert p.word("e").is_identity_word()
+        assert p.words["e"].is_identity_word()
 
     def test_invalid_json(self):
         with pytest.raises(ParseError):
@@ -129,6 +131,17 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="bad word 'phi'"):
             parse_problem(json.dumps(data))
 
+    def test_words_built_once(self, torus_file, monkeypatch):
+        calls = []
+        read = MappingClassWord.from_json
+        monkeypatch.setattr(MappingClassWord, "from_json", staticmethod(
+            lambda *a: calls.append(a) or read(*a)))
+        p = parse_problem(torus_file)
+        args = argparse.Namespace(command="fdtc", action="exact",
+                                  word="phi", component=None)
+        assert run(p, args).results[0]["value"] == "1/6"
+        assert len(calls) == len(p.words) == 2
+
     def test_bad_nt_type(self):
         data = torus_problem()
         data["nt_type"] = "loxodromic"
@@ -160,6 +173,14 @@ class TestMain:
                      "--word2", "bdry"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["results"][0]["defect_ok"] is True
+
+    def test_fdtc_audit_echoes_only_word(self, capsys):
+        data = torus_problem()
+        del data["words"]["bdry"]
+        assert main(["fdtc", "audit", json.dumps(data)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["inputs"]["word"] == out["inputs"]["word2"] == "phi"
+        assert out["results"][0]["c1"] == out["results"][0]["c2"] == "1/6"
 
     def test_classify(self, torus_file, capsys):
         assert main(["classify", torus_file]) == EXIT_OK
@@ -309,6 +330,23 @@ class TestMain:
                      "--graph", "triv"]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error: malformed foliation graph: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section", [
+        "curves", "words", "foliations", "coefficients", "c_circles"])
+    def test_sections_must_be_objects(self, capsys, section):
+        data = torus_problem()
+        if section == "coefficients":
+            data["assignment"]["coefficients"] = [1]
+        elif section == "c_circles":
+            data["foliations"] = foliation_problem()["foliations"]
+            data["foliations"]["triv"]["c_circles"] = []
+        else:
+            data[section] = []
+        assert main(["surface", "info", json.dumps(data)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ")
+        assert "%s must be a JSON object" % section in err
         assert "Traceback" not in err
 
     def test_unknown_component(self, torus_file):

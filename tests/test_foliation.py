@@ -358,6 +358,13 @@ class TestJsonRoundtrip:
         (("hyperbolic_points", 0, "sign"), True),
         (("hyperbolic_points", 0, "degenerated"), "true"),
         (("c_circles", "present"), 1),
+        (("c_circles",), []),
+        (("elliptic_points", 0, "id"), 1),
+        (("elliptic_points", 0, "boundary_label"), None),
+        (("hyperbolic_points", 0, "id"), ["h1"]),
+        (("hyperbolic_points", 0, "region_type"), ["aa"]),
+        (("singular_leaf_incidence", 0), "hv"),
+        (("singular_leaf_incidence", 0, 1), 2),
     ])
     def test_read_as_written(self, path, bad):
         data = trivial_disc_graph().to_json()
@@ -367,3 +374,9 @@ class TestJsonRoundtrip:
         place[path[-1]] = bad
         with pytest.raises(FoliationError, match="must be"):
             FoliationGraph.from_json(data)
+
+    def test_absent_boundary_label_is_empty(self):
+        data = trivial_disc_graph().to_json()
+        del data["elliptic_points"][0]["boundary_label"]
+        g = FoliationGraph.from_json(data)
+        assert g.elliptic_points[0].boundary_label == ""

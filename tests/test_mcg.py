@@ -58,6 +58,24 @@ class TestWordConstruction:
             with pytest.raises(WordError, match="power must be an integer"):
                 MappingClassWord(tri, [g])
 
+    @pytest.mark.parametrize("kind,field", [
+        ("braid", "1"), ("braid", 1.0), ("braid", True),
+        ("twist", (0, 1.0, 0, 1, 1)), ("twist", (0, 1, 0, "1", True)),
+    ])
+    def test_rejects_letter_field_that_is_not_an_int(self, kind, field):
+        with pytest.raises(WordError, match="must be an integer"):
+            getattr(Generator, kind)(field, 2)
+
+    def test_word_checks_only_powers_of_built_letters(self, torus_tri,
+                                                      monkeypatch):
+        # the constructors checked index and weights once per letter
+        letters = _torus_letters()
+        seen = []
+        monkeypatch.setattr("fdtc.mcg.checked_type",
+                            lambda x, kind, what, error: seen.append(what))
+        MappingClassWord(torus_tri, letters)
+        assert seen == ["power"] * len(letters)
+
     def test_len_counts_letters(self, torus_tri):
         w = MappingClassWord(torus_tri, [
             Generator.twist(TORUS_A, 2), Generator.twist(TORUS_B, -3)])
