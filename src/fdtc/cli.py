@@ -32,14 +32,10 @@ EXIT_INCONCLUSIVE = 4
 
 
 class ParseError(FdtcError):
-    """Problem file is malformed; carries a location string."""
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
+    """Problem file is malformed."""
 
 
-def _fraction(x, where):
+def _fraction(x):
     try:
         if isinstance(x, str):
             return Fraction(x)
@@ -48,8 +44,8 @@ def _fraction(x, where):
         if isinstance(x, dict) and type(x["num"]) is type(x["den"]) is int:
             return Fraction(x["num"], x["den"])
     except (ValueError, KeyError, ZeroDivisionError) as exc:
-        raise ParseError("bad rational %r: %s" % (x, exc), where)
-    raise ParseError("bad rational %r" % (x,), where)
+        raise ParseError("bad rational %r: %s" % (x, exc))
+    raise ParseError("bad rational %r" % (x,))
 
 
 @dataclass
@@ -83,7 +79,7 @@ def parse_problem(source) -> ProblemFile:
             with open(source) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ParseError(str(exc), str(source))
+            raise ParseError(str(exc))
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -92,11 +88,11 @@ def parse_problem(source) -> ProblemFile:
         raise ParseError("problem file must be a JSON object")
 
     if "surface" not in data:
-        raise ParseError("missing field", "surface")
+        raise ParseError("missing field 'surface'")
     try:
         spec = SurfaceSpec.from_json(data["surface"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("bad surface: %s" % (exc,), "surface")
+        raise ParseError("bad surface: %s" % (exc,))
 
     tri = standard_triangulation(spec)
     curves = {}
@@ -104,41 +100,39 @@ def parse_problem(source) -> ProblemFile:
         try:
             curves[name] = checked_curve(tri, weights)
         except WordError as exc:
-            raise ParseError("bad curve %r: %s" % (name, exc),
-                             "curves.%s" % name)
+            raise ParseError("bad curve %r: %s" % (name, exc))
 
     words = {}
     for (name, letters) in _section(data, "words").items():
         try:
             words[name] = MappingClassWord.from_json(tri, letters, curves)
         except WordError as exc:
-            raise ParseError("bad word %r: %s" % (name, exc),
-                             "words.%s" % name)
+            raise ParseError("bad word %r: %s" % (name, exc))
 
     foliations = {}
     for (name, g) in _section(data, "foliations").items():
         try:
             foliations[name] = fol_mod.FoliationGraph.from_json(g)
         except FoliationError as exc:
-            raise ParseError(str(exc), "foliations.%s" % name)
+            raise ParseError("%s (foliations.%s)" % (exc, name))
 
     assignment = None
     if "assignment" in data:
         a = data["assignment"]
         try:
             assignment = top_mod.CoefficientAssignment(
-                {k: _fraction(v, "assignment") for (k, v) in checked_type(
+                {k: _fraction(v) for (k, v) in checked_type(
                     a["coefficients"], dict, "coefficients").items()},
                 a.get("mode", "monodromy"),
                 checked_type(a.get("connected_boundary", False), bool,
                              "connected_boundary"),
             )
         except (KeyError, TypeError, ValueError, InconsistentDataError) as exc:
-            raise ParseError("bad assignment: %s" % (exc,), "assignment")
+            raise ParseError("bad assignment: %s" % (exc,))
 
     nt_type = data.get("nt_type")
     if nt_type is not None and nt_type not in top_mod.NT_TYPES:
-        raise ParseError("unknown nt_type %r" % (nt_type,), "nt_type")
+        raise ParseError("unknown nt_type %r" % (nt_type,))
 
     tight = checked_type(data.get("tight", False), bool, "tight", ParseError)
     return ProblemFile(spec, tri, curves, words, foliations, assignment,
@@ -269,8 +263,7 @@ def run(problem: ProblemFile, args) -> Report:
 
     if cmd == "classify":
         if problem.assignment is None:
-            raise ParseError("problem file has no coefficient assignment",
-                             "assignment")
+            raise ParseError("problem file has no coefficient assignment")
         a = problem.assignment
         nt_type = args.nt_type or problem.nt_type or "unknown"
         tight = args.tight or problem.tight
@@ -301,7 +294,7 @@ def run(problem: ProblemFile, args) -> Report:
             "euler_characteristic": spec.euler_characteristic,
             "denominator_bound": db.value,
             "denominator_bound_degenerate": db.degenerate,
-            "key_lemma_power": db.value * (db.value - 1) + 1,
+            "key_lemma_power": fdtc_mod.key_lemma_power(db.value),
             "edges": problem.tri.edge_count,
             "named_curves": sorted(problem.curves),
             "words": sorted(problem.words),

@@ -1,6 +1,6 @@
 """Isotopy classes of properly embedded arcs and simple closed curves in
-normal coordinates, tightening, the boundary ordering, essentiality and
-geometric intersection numbers.
+normal coordinates, the boundary ordering, essentiality and geometric
+intersection numbers.
 
 A multicurve/multiarc is stored as one nonnegative integer weight per
 edge: the number of transverse crossings of a taut representative.  Arc
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import enum
 
-from .errors import CurveError, MatchingError, ComputationError
+from .errors import CurveError, ComputationError
 from .surface import Triangulation
 
 # overlays materialize individual strands; refuse above this many slots
@@ -74,75 +74,14 @@ class NormalCoordinates:
         return sum(self.weights)
 
 
-def matching_diagnostics(c: NormalCoordinates) -> list[tuple[int, str]]:
-    """All matching-condition violations as (triangle index, message)."""
-    out = []
-    tri = c.tri
-    for t, sides in enumerate(tri.triangles):
-        w = [c.weights[e] for (e, _s) in sides]
-        if (w[0] + w[1] + w[2]) % 2 != 0:
-            out.append((t, "odd total weight %d in triangle %d" % (sum(w), t)))
-            continue
-        for k in range(3):
-            if w[k] > w[(k + 1) % 3] + w[(k + 2) % 3]:
-                out.append(
-                    (
-                        t,
-                        "triangle inequality fails in triangle %d at slot %d"
-                        % (t, k),
-                    )
-                )
-    return out
-
-
 def is_matching(c: NormalCoordinates) -> bool:
-    return not matching_diagnostics(c)
-
-
-def tighten(c: NormalCoordinates) -> NormalCoordinates:
-    """Canonical representative of the class of c.
-
-    Weights satisfying the matching conditions already are canonical and
-    pass through unchanged (idempotence).  A weight vector whose only
-    defect is an excess w_k > w_{k+1} + w_{k+2} in some triangle
-    describes a representative with strands folded back across a side
-    (a bigon against the triangulation); each fold is removed by taking
-    2 off the offending edge.  Parity violations cannot come from an
-    embedded object and are rejected with their location.
-    """
-    tri = c.tri
-    w = list(c.weights)
-    changed = True
-    guard = sum(w) + 1
-    while changed:
-        changed = False
-        for t, sides in enumerate(tri.triangles):
-            es = [e for (e, _s) in sides]
-            ws = [w[e] for e in es]
-            if (ws[0] + ws[1] + ws[2]) % 2 != 0:
-                raise MatchingError(
-                    "odd total weight in triangle %d" % t, location=t
-                )
-            for k in range(3):
-                if ws[k] > ws[(k + 1) % 3] + ws[(k + 2) % 3]:
-                    w[es[k]] -= 2
-                    if w[es[k]] < 0:
-                        raise MatchingError(
-                            "irreparable weights in triangle %d" % t, location=t
-                        )
-                    changed = True
-                    break
-            if changed:
-                break
-        guard -= 1
-        if guard < 0:
-            raise MatchingError("tightening did not terminate")
-    out = NormalCoordinates(tri, w)
-    bad = matching_diagnostics(out)
-    if bad:
-        t, msg = bad[0]
-        raise MatchingError(msg, location=t)
-    return out
+    """Whether the weights meet the matching conditions: in every
+    triangle an even total and the three triangle inequalities."""
+    for sides in c.tri.triangles:
+        (x, y, z) = (c.weights[e] for (e, _s) in sides)
+        if (x + y + z) % 2 or x > y + z or y > z + x or z > x + y:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

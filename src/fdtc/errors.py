@@ -9,17 +9,6 @@ class TriangulationError(FdtcError):
     """A triangulation violates a structural invariant."""
 
 
-class MatchingError(FdtcError):
-    """Edge weights violate the normal-curve matching conditions.
-
-    Carries the offending triangle index in ``location`` when known.
-    """
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
-
-
 class CurveError(FdtcError):
     """A curve/arc argument is unusable (wrong triangulation, not
     connected, not essential, ...)."""

@@ -310,17 +310,34 @@ def _first_probe_arc(tri, C: str):
     return tri._cache[key]
 
 
+def key_lemma_power(D: int) -> int:
+    """N = D(D-1)+1: two distinct rationals of denominator at most D lie
+    at least 1/(D(D-1)) apart, more than the width 1/N of a bracket, so
+    the closed window holds at most one of them."""
+    return D * (D - 1) + 1
+
+
+def _without_essential_arc(tri, C: str) -> bool:
+    """Whether the surface of tri is a disc with at most one puncture,
+    after checking that C is one of its boundary labels.  Such a disc has
+    no essential arc, and its mapping class group is trivial (Alexander
+    lemma), so c(w, C) = 0 for every word w."""
+    if C not in tri.base_edge_of:
+        raise WordError("unknown boundary label %r" % (C,))
+    spec = tri.surface
+    return spec.genus == 0 and spec.boundary_count == 1 \
+        and spec.puncture_count <= 1
+
+
 def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
     """c(w, C) as an exact rational.
 
-    Runs the bracketing once, at N = D(D-1)+1: two distinct rationals of
-    denominator at most D lie at least 1/(D(D-1)) apart, more than the
-    width 1/N, so the closed window holds at most one of them.  On the
-    annulus D = 1, so N = 1 and the bracket is the integer twist power
-    itself."""
+    Runs the bracketing once, at N = key_lemma_power(D).  On the annulus
+    D = 1, so N = 1 and the bracket is the integer twist power itself."""
     tri = w.tri
-    if C not in tri.base_edge_of:
-        raise WordError("unknown boundary label %r" % (C,))
+    if _without_essential_arc(tri, C):
+        return FDTCResult(Fraction(0), _point(Fraction(0)),
+                          "PeriodicityCorollary", N=1, M=0, D=1)
     spec = tri.surface
     if spec.puncture_count:
         perm = w.puncture_permutation()
@@ -329,14 +346,8 @@ def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
                 "word permutes punctures; use braid_fdtc, which normalizes "
                 "by the permutation order"
             )
-    if spec.genus == 0 and spec.boundary_count == 1 \
-            and spec.puncture_count <= 1:
-        # a disc with at most one puncture has no essential arc, and its
-        # mapping class group is trivial (Alexander lemma): c = 0
-        return FDTCResult(Fraction(0), _point(Fraction(0)),
-                          "PeriodicityCorollary", N=1, M=0, D=1)
     D = denominator_bound(spec.fold_punctures()).value
-    N = D * (D - 1) + 1
+    N = key_lemma_power(D)
     interval = key_lemma_interval(w, C, _first_probe_arc(tri, C), N)
     M = int(interval.lo * N)
     if interval.is_point:
@@ -371,6 +382,8 @@ def translation_estimate(w: MappingClassWord, C: str,
     point), converging to the coefficient as a translation number."""
     if N_max < 1:
         raise ComputationError("N_max must be at least 1")
+    if _without_essential_arc(w.tri, C):
+        return [_point(Fraction(0))] * N_max
     gamma = _first_probe_arc(w.tri, C)
     return [key_lemma_interval(w, C, gamma, n) for n in range(1, N_max + 1)]
 

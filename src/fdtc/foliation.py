@@ -93,6 +93,12 @@ class SingularityCounts:
                 "h_plus": self.h_plus, "h_minus": self.h_minus}
 
 
+def _objects(data: dict, key: str) -> list:
+    """data[key] as written: a list of JSON objects."""
+    return [checked_type(x, dict, "%s entry" % key)
+            for x in checked_type(data[key], list, key)]
+
+
 @dataclass(frozen=True)
 class FoliationGraph:
     """Abstract combinatorics of a singular foliation on one surface.
@@ -155,10 +161,11 @@ class FoliationGraph:
     @staticmethod
     def from_json(data: dict) -> "FoliationGraph":
         """The graph as written: integer genus, counts and signs, string
-        ids, labels and region types, JSON flags and a c_circles object;
-        anything else raises FoliationError."""
+        ids, labels and region types, JSON flags, lists of point objects
+        and of incidence pairs, and a c_circles object; anything else
+        raises FoliationError."""
         try:
-            surf = data["surface"]
+            surf = checked_type(data["surface"], dict, "surface")
             surface = SurfaceTopology(
                 checked_type(surf["genus"], int, "genus"),
                 checked_type(surf["boundary_count"], int, "boundary_count"))
@@ -174,7 +181,7 @@ class FoliationGraph:
                     checked_type(v.get("a_arcs_present", True), bool,
                                  "a_arcs_present"),
                 )
-                for v in data["elliptic_points"]
+                for v in _objects(data, "elliptic_points")
             )
             hyps = tuple(
                 HyperbolicPoint(
@@ -184,10 +191,11 @@ class FoliationGraph:
                     checked_type(h.get("degenerated", False), bool,
                                  "degenerated"),
                 )
-                for h in data["hyperbolic_points"]
+                for h in _objects(data, "hyperbolic_points")
             )
             inc = []
-            for pair in data.get("singular_leaf_incidence", []):
+            for pair in checked_type(data.get("singular_leaf_incidence", []),
+                                     list, "singular_leaf_incidence"):
                 (h, e) = checked_type(pair, list, "incidence pair")
                 inc.append((checked_type(h, str, "incidence id"),
                             checked_type(e, str, "incidence id")))
@@ -207,13 +215,13 @@ class FoliationGraph:
 class BoundReport:
     """A certified interval for a fractional twisting coefficient.
 
-    ``lower``/``upper`` are Fractions or ±infinity floats.  Each bound
+    ``lower``/``upper`` are Fractions, never infinite.  Each bound
     carries a source tag naming the estimate that produced it, and the
     report lists the caller-asserted assumptions it relies on.
     """
 
-    lower: object
-    upper: object
+    lower: Fraction
+    upper: Fraction
     source: str
     assumptions: tuple = ()
 
@@ -223,11 +231,10 @@ class BoundReport:
                                         "empty bound interval")
 
     def to_json(self) -> dict:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return {"num": x.numerator, "den": x.denominator}
-            return {"infinite": "+" if x > 0 else "-"}
-        return {"lower": enc(self.lower), "upper": enc(self.upper),
+        return {"lower": {"num": self.lower.numerator,
+                          "den": self.lower.denominator},
+                "upper": {"num": self.upper.numerator,
+                          "den": self.upper.denominator},
                 "source": self.source, "assumptions": list(self.assumptions)}
 
 

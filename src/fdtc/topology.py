@@ -50,16 +50,6 @@ class CoefficientAssignment:
     def all_abs_above(self, bound) -> bool:
         return all(abs(c) > bound for c in self.values())
 
-    def to_json(self) -> dict:
-        return {
-            "coefficients": {
-                k: {"num": v.numerator, "den": v.denominator}
-                for (k, v) in sorted(self.coefficients.items())
-            },
-            "mode": self.mode,
-            "connected_boundary": self.connected_boundary,
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:

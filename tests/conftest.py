@@ -12,6 +12,11 @@ TWO_HOLED_A = (0, 1, 0, 0, 0, 1, 1, 0, 0, 0)
 TWO_HOLED_B = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
 TWO_HOLED_C = (0, 1, 1, 0, 0, 1, 1, 2, 1, 1)
 
+# weights on the same triangulation that violate the matching conditions
+# in one triangle only: an odd total (1, 1, 1), and 2 > 0 + 0
+TWO_HOLED_ODD = (0, 1, 1, 1, 0, 1, 1, 2, 1, 1)
+TWO_HOLED_FOLDED = (0, 1, 0, 2, 0, 1, 1, 0, 0, 0)
+
 # a 4-chain on the standard genus-2 one-boundary triangulation; the
 # product of its twists has coefficient 1/10
 GENUS2_CHAIN = (

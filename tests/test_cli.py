@@ -1,5 +1,6 @@
 import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from fdtc.cli import (
 )
 from fdtc.foliation import overtwisted_disc_graph, trivial_disc_graph
 from fdtc.mcg import MappingClassWord
-from conftest import TORUS_A, TORUS_B
+from conftest import TORUS_A, TORUS_B, TWO_HOLED_FOLDED, TWO_HOLED_ODD
 
 
 def torus_problem():
@@ -102,7 +103,14 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="bad rational '1/0'"):
             parse_problem(json.dumps(data))
 
+    def test_rational_as_num_den(self):
+        data = torus_problem()
+        data["assignment"]["coefficients"]["S"] = {"num": -6, "den": 4}
+        p = parse_problem(json.dumps(data))
+        assert p.assignment.coefficients["S"] == Fraction(-3, 2)
+
     @pytest.mark.parametrize("bad", [
+        {"num": 1, "den": 0},
         {"num": 1.5, "den": 2},
         {"num": "3", "den": 2.9},
         True,
@@ -290,6 +298,20 @@ class TestMain:
         with pytest.raises(ParseError, match="bad curve 'a'"):
             parse_problem(json.dumps(data))
 
+    @pytest.mark.parametrize("weights", [TWO_HOLED_ODD, TWO_HOLED_FOLDED])
+    def test_nonmatching_curve_exits_2(self, capsys, weights):
+        problem = {"surface": {"genus": 1, "boundary": ["C1", "C2"]},
+                   "curves": {"a": list(weights)}}
+        assert main(["surface", "info", json.dumps(problem)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: bad curve 'a': ")
+        assert "matching conditions" in err and "Traceback" not in err
+
+    def test_missing_surface_named(self, capsys):
+        assert main(["surface", "info", '{"curves": {}}']) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "parse error: missing field 'surface'\n"
+
     @pytest.mark.parametrize("surface", [
         {"genus": 1.5, "boundary": ["S"]},
         {"genus": True, "boundary": ["S"]},
@@ -330,6 +352,22 @@ class TestMain:
                      "--graph", "triv"]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error: malformed foliation graph: ")
+        assert err.endswith(" (foliations.triv)\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,bad", [
+        ("elliptic_points", {"a": 1}),
+        ("hyperbolic_points", "h1"),
+        ("singular_leaf_incidence", {"h1": "v1"}),
+    ])
+    def test_foliation_lists_read_as_written(self, capsys, key, bad):
+        data = foliation_problem()
+        data["foliations"]["triv"][key] = bad
+        assert main(["foliation", "check", json.dumps(data),
+                     "--graph", "triv"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: malformed foliation graph: %s "
+                              "must be a list" % key)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("section", [

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdtc.errors import ComputationError, CurveError, MatchingError
+from fdtc.errors import ComputationError, CurveError
 from fdtc import curves, engine
 from fdtc.fdtc import _boundary_power_arc, _first_probe_arc
 from fdtc.mcg import Generator, MappingClassWord
@@ -23,7 +23,6 @@ from fdtc.curves import (
     is_essential,
     is_matching,
     is_puncture_parallel,
-    tighten,
     trace_components,
 )
 from conftest import (
@@ -34,6 +33,8 @@ from conftest import (
     TWO_HOLED_A,
     TWO_HOLED_B,
     TWO_HOLED_C,
+    TWO_HOLED_FOLDED,
+    TWO_HOLED_ODD,
 )
 
 # (triangulation fixture, boundary component) pairs the strand walker is
@@ -57,9 +58,10 @@ class TestMatching:
     def test_zero_is_matching(self, torus_tri):
         assert is_matching(NormalCoordinates(torus_tri, (0,) * 5))
 
-    def test_tighten_fixes_matching(self, torus_tri):
-        c = NormalCoordinates(torus_tri, TORUS_A)
-        assert tighten(c).weights == c.weights
+    @pytest.mark.parametrize("weights", [TWO_HOLED_ODD, TWO_HOLED_FOLDED])
+    def test_one_bad_triangle_on_two_holed_torus(self, two_holed_torus_tri,
+                                                 weights):
+        assert not is_matching(NormalCoordinates(two_holed_torus_tri, weights))
 
 
 class TestTraceComponents:

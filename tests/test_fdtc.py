@@ -161,6 +161,16 @@ class TestBoundaryCalibration:
         for res in (fdtc_exact(w, "C"), braid_fdtc(w, "C")):
             assert res.value == 0 and res.interval.is_point
 
+    @pytest.mark.parametrize("punctures", [0, 1])
+    def test_disc_sweep_is_zero(self, punctures):
+        # the same rule as fdtc_exact: no probe arc is looked for
+        tri = standard_triangulation(SurfaceSpec(0, ("C",), punctures))
+        w = MappingClassWord(tri, [Generator.boundary("C", 3)])
+        zero = RationalInterval(Fraction(0), Fraction(0))
+        assert translation_estimate(w, "C", 3) == [zero] * 3
+        with pytest.raises(WordError):
+            translation_estimate(w, "D", 3)
+
     def test_other_component_untouched(self, two_holed_torus_tri):
         w = MappingClassWord(two_holed_torus_tri,
                              [Generator.boundary("C1", 2)])

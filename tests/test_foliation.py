@@ -365,6 +365,12 @@ class TestJsonRoundtrip:
         (("hyperbolic_points", 0, "region_type"), ["aa"]),
         (("singular_leaf_incidence", 0), "hv"),
         (("singular_leaf_incidence", 0, 1), 2),
+        (("surface",), [0, 1]),
+        (("elliptic_points",), {"a": 1}),
+        (("elliptic_points", 0), ["v1"]),
+        (("hyperbolic_points",), "h1"),
+        (("hyperbolic_points", 0), 3),
+        (("singular_leaf_incidence",), {"h1": "v1"}),
     ])
     def test_read_as_written(self, path, bad):
         data = trivial_disc_graph().to_json()
@@ -372,7 +378,10 @@ class TestJsonRoundtrip:
         for key in path[:-1]:
             place = place[key]
         place[path[-1]] = bad
-        with pytest.raises(FoliationError, match="must be"):
+        # checked_type's message, not a Python one such as "string
+        # indices must be integers"
+        with pytest.raises(FoliationError,
+                           match=r"must be (an?|true or false)\b"):
             FoliationGraph.from_json(data)
 
     def test_absent_boundary_label_is_empty(self):
