@@ -118,8 +118,8 @@ def parse_problem(source) -> ProblemFile:
 
     assignment = None
     if "assignment" in data:
-        a = data["assignment"]
         try:
+            a = checked_type(data["assignment"], dict, "assignment")
             assignment = top_mod.CoefficientAssignment(
                 {k: _fraction(v) for (k, v) in checked_type(
                     a["coefficients"], dict, "coefficients").items()},

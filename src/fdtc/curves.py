@@ -511,43 +511,31 @@ def _inessential_arcs(tri: Triangulation, label: str) -> dict:
 
     An inessential arc cuts off a disc containing a proper chain of the
     component's boundary vertices and nothing else; both travel
-    directions along the boundary from the base edge are generated.
+    directions along the boundary from the base edge, which starts the
+    boundary cycle, are generated.
     """
     key = ("inessential", label)
     if key in tri._cache:
         return tri._cache[key]
-    eps = tri.base_edge_of[label]
     cycle = tri.boundary_cycles[label]
     m = len(cycle)
     voc = tri.vertex_of_corner
-    base_pos = next(
-        i for i, (t, k) in enumerate(cycle) if tri.triangles[t][k][0] == eps
-    )
     found: dict = {}
-
-    def note(arc):
-        if arc is not None:
-            found.setdefault((arc.coords.weights, arc.start), arc)
-
-    # forward: cross the fans of the heads of sides base, base+1, ...,
-    # ending on the boundary edge after the last fan
-    walk: list[int] = []
-    for step in range(m):
-        t, k = cycle[(base_pos + step) % m]
-        head = voc[(t, (k + 1) % 3)]
-        walk = walk + _spokes(tri, head)
-        t2, k2 = cycle[(base_pos + step + 1) % m]
-        end_edge = tri.triangles[t2][k2][0]
-        note(arc_from_walk(tri, label, walk + [end_edge]))
-    # backward: cross the fans of the tails of sides base, base-1, ...
-    walk = []
-    for step in range(m):
-        t, k = cycle[(base_pos - step) % m]
-        tail = voc[(t, k)]
-        walk = walk + list(reversed(_spokes(tri, tail)))
-        t2, k2 = cycle[(base_pos - step - 1) % m]
-        end_edge = tri.triangles[t2][k2][0]
-        note(arc_from_walk(tri, label, walk + [end_edge]))
+    # forward: cross the fans of the heads of sides 0, 1, ...; backward:
+    # the fans of the tails of sides 0, -1, ..., each walk ending on the
+    # boundary side after its last fan
+    for sign in (1, -1):
+        walk: list[int] = []
+        for step in range(m):
+            t, k = cycle[sign * step % m]
+            if sign == 1:
+                walk += _spokes(tri, voc[(t, (k + 1) % 3)])
+            else:
+                walk += reversed(_spokes(tri, voc[(t, k)]))
+            t2, k2 = cycle[sign * (step + 1) % m]
+            arc = arc_from_walk(tri, label, walk + [tri.triangles[t2][k2][0]])
+            if arc is not None:
+                found.setdefault((arc.coords.weights, arc.start), arc)
     tri._cache[key] = found
     return found
 

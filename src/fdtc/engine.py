@@ -223,14 +223,14 @@ def _canonical_key(tri: Triangulation):
     return tuple(sorted(out))
 
 
-def _flip_search(tri: Triangulation, v, done, rises: bool, cap: int,
-                 what: str):
+def _flip_search(tri: Triangulation, v, done, cap: int, what: str):
     """Best-first search from ``tri`` over flips, each replayed on every
     edge_count block of the stacked weights ``v``, for a state where
     ``done(triangulation, weights)``; returns its (flips, triangulation,
     weights).  States pop by (total, push index), and the push index
-    names each state's parent.  Unless ``rises``, no flip raises the
-    total.  After ``cap`` states it raises ComputationError(``what``)."""
+    names each state's parent.  No flip raises the total, so plateaus
+    are crossed but never a rise.  After ``cap`` states it raises
+    ComputationError(``what``)."""
     heap = [(sum(v), 0, tri, v)]
     parents = [None]  # push index -> (parent's push index, flip)
     seen = {(_canonical_key(tri), v)}
@@ -252,7 +252,7 @@ def _flip_search(tri: Triangulation, v, done, rises: bool, cap: int,
             except TriangulationError:
                 continue
             nv = _flip_blocks(step, v, tri.edge_count)
-            if nv is None or (not rises and sum(nv) > total):
+            if nv is None or sum(nv) > total:
                 continue
             key = (_canonical_key(nt), nv)
             if key in seen:
@@ -269,12 +269,13 @@ def shorten_curve(tri: Triangulation, weights):
 
     Returns (flip Encoding F, short triangulation, short weights); F
     transports coordinates from ``tri`` to the short triangulation.
-    Best-first search on total weight, so mild plateaus are crossed."""
+    Best-first search on total weight through flips that never raise it,
+    so plateaus are crossed."""
     w0 = tuple(weights)
     if sum(w0) < 2:
         raise CurveError("not an essential closed curve (empty coordinates)")
     steps, short_tri, short_w = _flip_search(
-        tri, w0, lambda cur, w: sum(w) == 2, True, _SEARCH_CAP,
+        tri, w0, lambda cur, w: sum(w) == 2, _SEARCH_CAP,
         "could not shorten the curve to an annular position "
         "(is it essential and connected?)")
     return Encoding(steps), short_tri, short_w
@@ -434,7 +435,7 @@ def encoding_from_probe_images(tri: Triangulation, probes, images) -> Encoding:
             for j in range(0, len(v), m) for old, new in enumerate(perm))
 
     steps, cur, _ = _flip_search(
-        tri, stacked, done, False, _PROBE_SEARCH_CAP,
+        tri, stacked, done, _PROBE_SEARCH_CAP,
         "could not reconstruct a mapping class from the probe images")
     # the flips then the renaming map w(phi(gamma)) back to w(gamma)
     return Encoding(steps, derive_relabel_to(cur, tri)).inverted()

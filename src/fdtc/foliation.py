@@ -160,11 +160,12 @@ class FoliationGraph:
 
     @staticmethod
     def from_json(data: dict) -> "FoliationGraph":
-        """The graph as written: integer genus, counts and signs, string
-        ids, labels and region types, JSON flags, lists of point objects
-        and of incidence pairs, and a c_circles object; anything else
-        raises FoliationError."""
+        """The graph as written, a JSON object: integer genus, counts and
+        signs, string ids, labels and region types, JSON flags, lists of
+        point objects and of incidence pairs, and a c_circles object;
+        anything else raises FoliationError."""
         try:
+            checked_type(data, dict, "graph")
             surf = checked_type(data["surface"], dict, "surface")
             surface = SurfaceTopology(
                 checked_type(surf["genus"], int, "genus"),

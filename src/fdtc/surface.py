@@ -78,8 +78,10 @@ class SurfaceSpec:
 
     @staticmethod
     def from_json(data: dict) -> "SurfaceSpec":
-        """The spec as written: integer genus and punctures, and a list
-        of string labels; anything else raises ValueError."""
+        """The spec as written, a JSON object: integer genus and
+        punctures, and a list of string labels; anything else raises
+        ValueError."""
+        checked_type(data, dict, "surface")
         labels = data["boundary"]
         if not isinstance(labels, list) or not all(
                 isinstance(x, str) for x in labels):
@@ -199,11 +201,11 @@ class Triangulation:
 
     @property
     def vertices(self) -> list[dict]:
-        """List of vertex records: {corners, boundary: bool, label}.
+        """List of vertex records: {corners, boundary: bool}.
 
         ``corners`` is the list of (triangle, slot) corners around the
-        vertex; ``label`` is the boundary label for boundary vertices and
-        None for punctures."""
+        vertex in fan order; a boundary vertex's fan starts just after a
+        boundary side and ends on one.  Boundary vertices come first."""
         return self._derive()["vertices"]
 
     @property
@@ -248,106 +250,54 @@ class Triangulation:
                 raise TriangulationError("non-manifold edge %d" % e)
 
         # corner (t, k): the vertex at the start of side k of triangle t.
-        # Rotating across side k lands at corner (t', k'+1) where (t', k')
-        # is the other incidence of that side's edge.
-        def other(e, t, k):
-            for (t2, k2) in incidences[e]:
-                if (t2, k2) != (t, k):
-                    return (t2, k2)
-            raise TriangulationError("edge %d has no second incidence" % e)
-
+        # Rotating across side k lands at corner (t', k'+1), where (t', k')
+        # is the other incidence of that side's edge, and stops at a
+        # boundary side.  With at most two incidences per edge, rotate is
+        # one-to-one and only a corner just after a boundary side has no
+        # preimage, so its orbits are chains from those corners, ending on
+        # a boundary side, and cycles of the remaining corners.
         def rotate(corner):
             t, k = corner
-            e, _s = self.triangles[t][k]
-            if len(incidences[e]) == 1:
+            inc = incidences[self.triangles[t][k][0]]
+            if len(inc) == 1:
                 return None
-            t2, k2 = other(e, t, k)
+            t2, k2 = inc[1] if inc[0] == corner else inc[0]
             return (t2, (k2 + 1) % 3)
 
-        all_corners = [(t, k) for t in range(len(self.triangles)) for k in range(3)]
+        corners = [(t, k) for t in range(len(self.triangles)) for k in range(3)]
+        starts = [(t, k) for (t, k) in corners
+                  if len(incidences[self.triangles[t][k - 1][0]]) == 1]
         vertex_of_corner: dict[tuple[int, int], int] = {}
         vertices: list[dict] = []
-        seen = set()
-        # boundary vertices: chains that start just after a boundary edge
-        for corner in all_corners:
-            if corner in seen:
+        # the boundary fans first, one from each start
+        for corner in starts + corners:
+            if corner in vertex_of_corner:
                 continue
-            t, k = corner
-            ep, _sp = self.triangles[t][(k - 1) % 3]
-            if len(incidences[ep]) != 1:
-                continue  # not a chain start
-            chain = [corner]
-            cur = corner
-            while True:
-                nxt = rotate(cur)
-                if nxt is None:
-                    break
-                if nxt in seen or nxt in chain:
-                    raise TriangulationError("inconsistent corner structure")
-                chain.append(nxt)
-                cur = nxt
-            vid = len(vertices)
-            label = self.boundary_label_of_edge.get(ep)
-            vertices.append({"corners": chain, "boundary": True, "label": label})
-            for c in chain:
-                vertex_of_corner[c] = vid
-                seen.add(c)
-        # interior vertices: remaining corners form cycles
-        for corner in all_corners:
-            if corner in seen:
-                continue
-            cycle = [corner]
-            cur = rotate(corner)
-            while cur is not None and cur != corner:
-                if cur in seen:
-                    raise TriangulationError("corner orbit hits a used corner")
-                cycle.append(cur)
-                cur = rotate(cur)
-            if cur is None:
-                raise TriangulationError("open corner chain without boundary")
-            vid = len(vertices)
-            vertices.append({"corners": cycle, "boundary": False, "label": None})
-            for c in cycle:
-                vertex_of_corner[c] = vid
-                seen.add(c)
+            fan = [corner]
+            while (nxt := rotate(fan[-1])) not in (None, corner):
+                fan.append(nxt)
+            for c in fan:
+                vertex_of_corner[c] = len(vertices)
+            vertices.append({"corners": fan,
+                             "boundary": len(vertices) < len(starts)})
 
-        # boundary cycles: follow outgoing boundary sides through vertex
-        # chains.  The chain of a boundary vertex starts just after the
-        # incoming boundary edge and ends at the corner whose own side is
-        # the outgoing boundary edge.
-        next_boundary: dict[tuple[int, int], tuple[int, int]] = {}
-        for v in vertices:
-            if not v["boundary"]:
-                continue
-            first = v["corners"][0]
-            last = v["corners"][-1]
-            t0, k0 = first
-            incoming = (t0, (k0 - 1) % 3)
-            outgoing = last
-            next_boundary[incoming] = outgoing
+        # the boundary side after (t, k) is the last corner of the fan that
+        # starts at (t, k+1); that map permutes the boundary sides
+        def side_after(side):
+            t, k = side
+            return vertices[vertex_of_corner[(t, (k + 1) % 3)]]["corners"][-1]
+
         boundary_cycles: dict[str, list[tuple[int, int]]] = {}
-        used = set()
         for label, eps in self.base_edge_of.items():
             inc = incidences.get(eps)
             if not inc or len(inc) != 1:
                 raise TriangulationError(
                     "base edge of %s is not a boundary edge" % label
                 )
-            start = inc[0]
-            cycle = [start]
-            cur = next_boundary.get(start)
-            guard = 0
-            while cur is not None and cur != start:
-                cycle.append(cur)
-                cur = next_boundary.get(cur)
-                guard += 1
-                if guard > 3 * len(self.triangles) + 3:
-                    raise TriangulationError("boundary trace does not close")
-            if cur is None:
-                raise TriangulationError("boundary trace broke at %s" % label)
+            cycle = [inc[0]]
+            while (nxt := side_after(cycle[-1])) != cycle[0]:
+                cycle.append(nxt)
             boundary_cycles[label] = cycle
-            for c in cycle:
-                used.add(c)
 
         self._derived = {
             "incidences": incidences,

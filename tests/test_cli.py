@@ -371,7 +371,8 @@ class TestMain:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("section", [
-        "curves", "words", "foliations", "coefficients", "c_circles"])
+        "curves", "words", "foliations", "coefficients", "c_circles",
+        "surface", "assignment", "graph"])
     def test_sections_must_be_objects(self, capsys, section):
         data = torus_problem()
         if section == "coefficients":
@@ -379,8 +380,11 @@ class TestMain:
         elif section == "c_circles":
             data["foliations"] = foliation_problem()["foliations"]
             data["foliations"]["triv"]["c_circles"] = []
+        elif section == "graph":
+            data["foliations"] = {"g": []}
         else:
-            data[section] = []
+            data[section] = {"surface": ["x"], "assignment": [1]}.get(
+                section, [])
         assert main(["surface", "info", json.dumps(data)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("parse error: ")

@@ -371,10 +371,12 @@ class TestJsonRoundtrip:
         (("hyperbolic_points",), "h1"),
         (("hyperbolic_points", 0), 3),
         (("singular_leaf_incidence",), {"h1": "v1"}),
+        ((), []),
     ])
     def test_read_as_written(self, path, bad):
-        data = trivial_disc_graph().to_json()
-        place = data
+        # path () replaces the whole graph
+        place = root = [trivial_disc_graph().to_json()]
+        path = (0,) + path
         for key in path[:-1]:
             place = place[key]
         place[path[-1]] = bad
@@ -382,7 +384,7 @@ class TestJsonRoundtrip:
         # indices must be integers"
         with pytest.raises(FoliationError,
                            match=r"must be (an?|true or false)\b"):
-            FoliationGraph.from_json(data)
+            FoliationGraph.from_json(root[0])
 
     def test_absent_boundary_label_is_empty(self):
         data = trivial_disc_graph().to_json()

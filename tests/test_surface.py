@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from fdtc.engine import flip
+from fdtc.errors import TriangulationError
 from fdtc.surface import (
     SurfaceSpec,
     denominator_bound,
@@ -94,3 +98,52 @@ class TestStandardTriangulation:
         v = len(tri.vertices)
         f = len(tri.triangles)
         assert v - tri.edge_count + f == SurfaceSpec(1, ("S",)).euler_characteristic
+
+
+FLIP_SURFACES = [
+    SurfaceSpec(0, ("C",), 3),
+    SurfaceSpec(0, ("C",), 4),
+    SurfaceSpec(0, ("C1", "C2", "C3")),
+    SurfaceSpec(1, ("C1", "C2")),
+    SurfaceSpec(2, ("C1", "C2")),
+    SurfaceSpec(1, ("S",), 2),
+    SurfaceSpec(1, ("S",)),
+    SurfaceSpec(2, ("S",)),
+    SurfaceSpec(3, ("S",)),
+    SurfaceSpec(0, ("C1", "C2"), 1),
+    SurfaceSpec(0, ("C1", "C2", "C3"), 2),
+    SurfaceSpec(1, ("C1", "C2", "C3"), 1),
+]
+
+
+class TestFlippedDerivation:
+    def test_random_flips(self):
+        """Fans and boundary cycles stay consistent along random flip
+        paths, self-folded triangles included."""
+        rng = random.Random(17)
+        folded = 0
+        for spec in FLIP_SURFACES:
+            tri = standard_triangulation(spec)
+            for _ in range(40):
+                interior = [e for e in range(tri.edge_count)
+                            if not tri.is_boundary_edge(e)]
+                try:
+                    tri, _step = flip(tri, rng.choice(interior))
+                except TriangulationError:
+                    continue  # the folded edge of a self-folded triangle
+                assert validate_triangulation(tri) == []
+                corners = sorted(c for v in tri.vertices for c in v["corners"])
+                assert corners == [(t, k) for t in range(len(tri.triangles))
+                                   for k in range(3)]
+                for v in tri.vertices:
+                    if v["boundary"]:
+                        t, k = v["corners"][-1]
+                        assert tri.is_boundary_edge(tri.triangles[t][k][0])
+                for label, cycle in tri.boundary_cycles.items():
+                    edges = [tri.triangles[t][k][0] for (t, k) in cycle]
+                    assert edges[0] == tri.base_edge_of[label]
+                    assert all(tri.boundary_label_of_edge[e] == label
+                               for e in edges)
+                folded += any(len({e for (e, _s) in sides}) < 3
+                              for sides in tri.triangles)
+        assert folded > 0
