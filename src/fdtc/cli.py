@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FdtcError, FoliationError, InconsistentDataError, WordError
-from .surface import (SurfaceSpec, Triangulation, checked_type,
+from .surface import (Record, SurfaceSpec, Triangulation, checked_type,
                       denominator_bound, standard_triangulation)
 from .mcg import MappingClassWord, checked_curve
 from . import fdtc as fdtc_mod
@@ -48,18 +47,25 @@ def _fraction(x):
     raise ParseError("bad rational %r" % (x,))
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Record):
     """Validated contents of one problem file, each part built once."""
 
-    spec: SurfaceSpec
-    tri: Triangulation
-    curves: dict  # name -> weight tuple
-    words: dict  # name -> MappingClassWord
-    foliations: dict  # name -> FoliationGraph
-    assignment: object  # CoefficientAssignment or None
-    nt_type: str = None
-    tight: bool = False
+    __slots__ = ("spec", "tri", "curves", "words", "foliations",
+                 "assignment", "nt_type", "tight")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, spec: SurfaceSpec, tri: Triangulation, curves: dict,
+                 words: dict, foliations: dict, assignment: object,
+                 nt_type: str = None, tight: bool = False):
+        self.spec = spec
+        self.tri = tri
+        self.curves = curves  # name -> weight tuple
+        self.words = words  # name -> MappingClassWord
+        self.foliations = foliations  # name -> FoliationGraph
+        self.assignment = assignment  # CoefficientAssignment or None
+        self.nt_type = nt_type
+        self.tight = tight
 
 
 def _section(data: dict, key: str) -> dict:
@@ -142,12 +148,17 @@ def parse_problem(source) -> ProblemFile:
 # -- report assembly ---------------------------------------------------------
 
 
-@dataclass
-class Report:
-    task: str
-    inputs: dict
-    results: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("task", "inputs", "results", "warnings")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, task: str, inputs: dict, results: list = None,
+                 warnings: list = None):
+        self.task = task
+        self.inputs = inputs
+        self.results = [] if results is None else results
+        self.warnings = [] if warnings is None else warnings
 
     def to_json(self) -> dict:
         return {"task": self.task, "inputs": self.inputs,

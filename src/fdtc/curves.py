@@ -21,11 +21,10 @@ prefix it actually walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import enum
 
 from .errors import CurveError, ComputationError
-from .surface import Triangulation
+from .surface import Record, Triangulation
 
 # overlays materialize individual strands; refuse above this many slots
 OVERLAY_LIMIT = 200_000
@@ -353,23 +352,23 @@ def coords_from_crossings(tri: Triangulation, edges) -> NormalCoordinates:
 # arcs
 
 
-@dataclass(frozen=True)
-class ArcClass:
+class ArcClass(Record):
     """Oriented essential-or-not arc starting on the base edge of a
     boundary component.  ``start`` is (boundary label, slot index on that
     component's base edge)."""
 
-    coords: NormalCoordinates
-    start: tuple[str, int]
+    __slots__ = ("coords", "start")
 
-    def __post_init__(self):
-        label, slot = self.start
-        tri = self.coords.tri
+    def __init__(self, coords: NormalCoordinates, start: tuple[str, int]):
+        label, slot = start
+        tri = coords.tri
         if label not in tri.base_edge_of:
             raise CurveError("unknown boundary label %r" % label)
         eps = tri.base_edge_of[label]
-        if not 0 <= slot < self.coords.weights[eps]:
+        if not 0 <= slot < coords.weights[eps]:
             raise CurveError("start slot %d out of range on base edge" % slot)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "start", start)
 
     @property
     def tri(self) -> Triangulation:

@@ -31,7 +31,8 @@ three flips next to the once-punctured monogon around one of them.
 Neither move involves a search beyond the shortening.  Each letter is
 compiled once into (conjugator, core move, inverse conjugator) and kept
 in the triangulation's letter cache; its k-th power replays the core k
-times between the two.  Applying the script is pure big-integer
+times between the two, and a word composes those three parts of all its
+letters in one pass.  Applying the script is pure big-integer
 arithmetic, which is what makes high twist powers on huge coordinates
 affordable.
 
@@ -165,11 +166,13 @@ def compose(encodings) -> Encoding:
     raises ComputationError before anything is built."""
     encodings = tuple(encodings)
     _check_length(sum(len(enc.steps) for enc in encodings))
-    steps, perm = [], None
+    steps, perm, unrename = [], None, None
     for enc in encodings:
-        steps.extend(enc.steps if perm is None
-                     else _read_through(enc.steps, _inverse(perm)))
-        perm = _then(perm, enc.perm)
+        steps.extend(enc.steps if unrename is None
+                     else _read_through(enc.steps, unrename))
+        if enc.perm is not None:
+            perm = _then(perm, enc.perm)
+            unrename = perm and _inverse(perm)
     return Encoding(steps, perm)
 
 
@@ -511,12 +514,21 @@ def _compile_letter(tri: Triangulation, kind: str, x):
     return conj, _core_twist(short_tri, short_w), conj.inverted()
 
 
-def _power(tri: Triangulation, key, k: int) -> Encoding:
-    """The k-th power of the letter ``key``: conj, core^k, conj^-1."""
-    if k == 0:
-        return Encoding(())
+def letter_parts(tri: Triangulation, kind: str, x, k: int) -> tuple:
+    """(conj, core^k, conj^-1), whose ``compose`` is the k-th power of the
+    letter of ``kind`` "twist", "boundary" or "braid" on x (curve
+    weights, label or pair index); () when k = 0.  Twist weights not yet
+    compiled are checked against the matching conditions, whatever k."""
+    key = (kind, tuple(x) if kind == "twist" else x)
+    if kind == "twist" and key not in tri._cache.get("letters", {}):
+        if not _curves.is_matching(_curves.NormalCoordinates(tri, key[1])):
+            raise CurveError("curve weights violate the matching conditions")
+    if not k:
+        return ()
     conj, core, conj_inv = _letter(tri, key)
-    return compose((conj, core.power(k), conj_inv))
+    parts = conj, core.power(k), conj_inv
+    _check_length(sum(len(enc.steps) for enc in parts))
+    return parts
 
 
 def boundary_twist_encoding(tri: Triangulation, label: str,
@@ -528,7 +540,7 @@ def boundary_twist_encoding(tri: Triangulation, label: str,
     (``_boundary_rotation``); the disc's three-edge component is twisted
     along the curve like any other, or not at all when that curve bounds
     at most one puncture.  Unknown labels raise CurveError."""
-    return _power(tri, ("boundary", label), power)
+    return compose(letter_parts(tri, "boundary", label, power))
 
 
 def half_twist_encoding(tri: Triangulation, i: int, power: int = 1) -> Encoding:
@@ -539,7 +551,7 @@ def half_twist_encoding(tri: Triangulation, i: int, power: int = 1) -> Encoding:
     its annular position, make the three-flip move of
     ``_core_half_twist`` there, and conjugate back.  Its square is the
     positive Dehn twist along that curve."""
-    return _power(tri, ("braid", i), power)
+    return compose(letter_parts(tri, "braid", i, power))
 
 
 def twist_encoding(tri: Triangulation, curve_weights, power: int = 1) -> Encoding:
@@ -552,8 +564,4 @@ def twist_encoding(tri: Triangulation, curve_weights, power: int = 1) -> Encodin
     isotopically trivial on a surface with marked points and yield an
     empty script.
     """
-    w = tuple(curve_weights)
-    if ("twist", w) not in tri._cache.get("letters", {}):
-        if not _curves.is_matching(_curves.NormalCoordinates(tri, w)):
-            raise CurveError("curve weights violate the matching conditions")
-    return _power(tri, ("twist", w), power)
+    return compose(letter_parts(tri, "twist", curve_weights, power))

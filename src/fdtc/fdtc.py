@@ -43,11 +43,10 @@ laps, and a sweep to N_max is no longer quadratic in N_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationError, CurveError, InconsistentDataError, WordError
-from .surface import denominator_bound
+from .surface import Record, denominator_bound
 from . import curves, engine
 from .engine import POSITIVE_DRAG_DIRECTION
 from .mcg import MappingClassWord, puncture_permutation_order
@@ -55,18 +54,19 @@ from .mcg import MappingClassWord, puncture_permutation_order
 _PROBE_BOUND = 4
 
 
-@dataclass(frozen=True)
-class RationalInterval:
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool = True
-    hi_closed: bool = True
+class RationalInterval(Record):
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction, lo_closed: bool = True,
+                 hi_closed: bool = True):
+        if lo > hi:
             raise InconsistentDataError("interval endpoints out of order")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        if lo == hi and not (lo_closed and hi_closed):
             raise InconsistentDataError("degenerate interval must be closed")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_closed", lo_closed)
+        object.__setattr__(self, "hi_closed", hi_closed)
 
     @property
     def is_point(self) -> bool:
@@ -104,22 +104,26 @@ class RationalInterval:
         }
 
 
-@dataclass(frozen=True)
-class FDTCResult:
+class FDTCResult(Record):
     """Outcome of an FDTC computation: an exact value and/or a bracketing
-    interval, with the route that produced it and the parameters used."""
+    interval, with the route that produced it (ExactTheorem or
+    PeriodicityCorollary) and the parameters used."""
 
-    value: Fraction | None
-    interval: RationalInterval | None
-    provenance: str  # ExactTheorem | PeriodicityCorollary
-    N: int | None = None
-    M: int | None = None
-    D: int | None = None
+    __slots__ = ("value", "interval", "provenance", "N", "M", "D")
 
-    def __post_init__(self):
-        if self.value is not None and self.interval is not None:
-            if not self.interval.contains(self.value):
+    def __init__(self, value: Fraction | None,
+                 interval: RationalInterval | None, provenance: str,
+                 N: int | None = None, M: int | None = None,
+                 D: int | None = None):
+        if value is not None and interval is not None:
+            if not interval.contains(value):
                 raise InconsistentDataError("value lies outside its interval")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "D", D)
 
     def to_json(self) -> dict:
         return {

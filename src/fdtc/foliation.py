@@ -16,12 +16,11 @@ asserted; every report echoes the assumptions it leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
 
 from .errors import FoliationError, InconsistentDataError
-from .surface import checked_type
+from .surface import Record, checked_type
 
 REGION_TYPES = ("aa", "ab", "bb", "ac", "bc", "cc")
 
@@ -31,10 +30,12 @@ REGION_TYPES = ("aa", "ab", "bb", "ac", "bc", "cc")
 REGION_ELLIPTIC_SLOTS = {"aa": 2, "ab": 3, "bb": 4, "ac": 1, "bc": 2, "cc": 0}
 
 
-@dataclass(frozen=True)
-class SurfaceTopology:
-    genus: int
-    boundary_count: int
+class SurfaceTopology(Record):
+    __slots__ = ("genus", "boundary_count")
+
+    def __init__(self, genus: int, boundary_count: int):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_count", boundary_count)
 
     @property
     def closed(self) -> bool:
@@ -48,14 +49,19 @@ class SurfaceTopology:
                 "closed": self.closed}
 
 
-@dataclass(frozen=True)
-class EllipticPoint:
-    id: str
-    sign: int
-    boundary_label: str
-    essential: bool = False
-    strongly_essential: bool = False
-    a_arcs_present: bool = True
+class EllipticPoint(Record):
+    __slots__ = ("id", "sign", "boundary_label", "essential",
+                 "strongly_essential", "a_arcs_present")
+
+    def __init__(self, id: str, sign: int, boundary_label: str,
+                 essential: bool = False, strongly_essential: bool = False,
+                 a_arcs_present: bool = True):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "boundary_label", boundary_label)
+        object.__setattr__(self, "essential", essential)
+        object.__setattr__(self, "strongly_essential", strongly_essential)
+        object.__setattr__(self, "a_arcs_present", a_arcs_present)
 
     def to_json(self) -> dict:
         return {"id": self.id, "sign": self.sign,
@@ -65,12 +71,15 @@ class EllipticPoint:
                 "a_arcs_present": self.a_arcs_present}
 
 
-@dataclass(frozen=True)
-class HyperbolicPoint:
-    id: str
-    sign: int
-    region_type: str
-    degenerated: bool = False
+class HyperbolicPoint(Record):
+    __slots__ = ("id", "sign", "region_type", "degenerated")
+
+    def __init__(self, id: str, sign: int, region_type: str,
+                 degenerated: bool = False):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "region_type", region_type)
+        object.__setattr__(self, "degenerated", degenerated)
 
     def to_json(self) -> dict:
         return {"id": self.id, "sign": self.sign,
@@ -78,12 +87,14 @@ class HyperbolicPoint:
                 "degenerated": self.degenerated}
 
 
-@dataclass(frozen=True)
-class SingularityCounts:
-    e_plus: int
-    e_minus: int
-    h_plus: int
-    h_minus: int
+class SingularityCounts(Record):
+    __slots__ = ("e_plus", "e_minus", "h_plus", "h_minus")
+
+    def __init__(self, e_plus: int, e_minus: int, h_plus: int, h_minus: int):
+        object.__setattr__(self, "e_plus", e_plus)
+        object.__setattr__(self, "e_minus", e_minus)
+        object.__setattr__(self, "h_plus", h_plus)
+        object.__setattr__(self, "h_minus", h_minus)
 
     def euler_characteristic(self) -> int:
         return (self.e_plus + self.e_minus) - (self.h_plus + self.h_minus)
@@ -99,8 +110,7 @@ def _objects(data: dict, key: str) -> list:
             for x in checked_type(data[key], list, key)]
 
 
-@dataclass(frozen=True)
-class FoliationGraph:
+class FoliationGraph(Record):
     """Abstract combinatorics of a singular foliation on one surface.
 
     ``singular_leaf_incidence`` lists (hyperbolic id, elliptic id) pairs,
@@ -109,12 +119,21 @@ class FoliationGraph:
     present, and whether they are (caller-asserted) essential.
     """
 
-    surface: SurfaceTopology
-    elliptic_points: tuple
-    hyperbolic_points: tuple
-    singular_leaf_incidence: tuple
-    c_circle_presence: bool = False
-    c_circles_essential: bool = False
+    __slots__ = ("surface", "elliptic_points", "hyperbolic_points",
+                 "singular_leaf_incidence", "c_circle_presence",
+                 "c_circles_essential")
+
+    def __init__(self, surface: SurfaceTopology, elliptic_points: tuple,
+                 hyperbolic_points: tuple, singular_leaf_incidence: tuple,
+                 c_circle_presence: bool = False,
+                 c_circles_essential: bool = False):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "elliptic_points", elliptic_points)
+        object.__setattr__(self, "hyperbolic_points", hyperbolic_points)
+        object.__setattr__(self, "singular_leaf_incidence",
+                           singular_leaf_incidence)
+        object.__setattr__(self, "c_circle_presence", c_circle_presence)
+        object.__setattr__(self, "c_circles_essential", c_circles_essential)
 
     def elliptic(self, pid: str) -> EllipticPoint:
         for v in self.elliptic_points:
@@ -212,8 +231,7 @@ class FoliationGraph:
             raise FoliationError("malformed foliation graph: %s" % (exc,))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """A certified interval for a fractional twisting coefficient.
 
     ``lower``/``upper`` are Fractions, never infinite.  Each bound
@@ -221,15 +239,17 @@ class BoundReport:
     report lists the caller-asserted assumptions it relies on.
     """
 
-    lower: Fraction
-    upper: Fraction
-    source: str
-    assumptions: tuple = ()
+    __slots__ = ("lower", "upper", "source", "assumptions")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    def __init__(self, lower: Fraction, upper: Fraction, source: str,
+                 assumptions: tuple = ()):
+        if lower > upper:
             raise InconsistentDataError("inconsistent foliation data: "
                                         "empty bound interval")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "assumptions", assumptions)
 
     def to_json(self) -> dict:
         return {"lower": {"num": self.lower.numerator,

@@ -11,17 +11,15 @@ coordinates stays cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import CurveError, WordError
-from .surface import Triangulation, checked_type
+from .surface import Record, Triangulation, checked_type
 from . import curves
 from . import engine
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """One letter: a Dehn twist along a curve, a boundary twist, or a
     braid half twist, raised to an integer power.
 
@@ -32,11 +30,15 @@ class Generator:
     per letter; words built from the letter do not check them again.
     """
 
-    kind: str  # "twist" | "boundary" | "braid"
-    power: int
-    curve: tuple = None
-    label: str = None
-    index: int = None
+    __slots__ = ("kind", "power", "curve", "label", "index")
+
+    def __init__(self, kind: str, power: int, curve: tuple = None,
+                 label: str = None, index: int = None):
+        object.__setattr__(self, "kind", kind)  # twist, boundary, braid
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "index", index)
 
     @staticmethod
     def twist(curve_weights, power: int = 1) -> "Generator":
@@ -168,18 +170,15 @@ class MappingClassWord:
     # -- the action ---------------------------------------------------------
 
     def encoding(self) -> engine.Encoding:
+        """The parts of every letter's power composed in one pass."""
         if self._encoding is None:
-            self._encoding = engine.compose(
-                map(self._generator_encoding, reversed(self.generators)))
+            parts = []
+            for g in reversed(self.generators):
+                x = g.curve if g.kind == "twist" else (
+                    g.label if g.kind == "boundary" else g.index)
+                parts += engine.letter_parts(self.tri, g.kind, x, g.power)
+            self._encoding = engine.compose(parts)
         return self._encoding
-
-    def _generator_encoding(self, g: Generator) -> engine.Encoding:
-        tri = self.tri
-        if g.kind == "twist":
-            return engine.twist_encoding(tri, g.curve, g.power)
-        if g.kind == "boundary":
-            return engine.boundary_twist_encoding(tri, g.label, g.power)
-        return engine.half_twist_encoding(tri, g.index, g.power)
 
     def _check_coords(self, x: curves.NormalCoordinates):
         if x.tri is not self.tri:

@@ -17,34 +17,63 @@ role of a blown-up base point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import TriangulationError
+
+
+class Record:
+    """A read-only record of the fields named in ``__slots__``, which its
+    ``__init__`` sets through ``object.__setattr__``: equal to a record
+    of its class with equal fields, hashed and shown by its fields, as a
+    frozen dataclass is.  A record whose fields may change puts back
+    ``object.__setattr__`` and ``object.__delattr__`` and has no hash."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, k) for k in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (k, getattr(self, k)) for k in self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
 
 
 # ---------------------------------------------------------------------------
 # surface specs
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Record):
     """A compact oriented surface of genus g with d >= 1 labelled boundary
     components and n marked interior punctures."""
 
-    genus: int
-    boundary_labels: tuple[str, ...]
-    puncture_count: int = 0
+    __slots__ = ("genus", "boundary_labels", "puncture_count")
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int, boundary_labels: tuple[str, ...],
+                 puncture_count: int = 0):
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
-        if len(self.boundary_labels) < 1:
+        if len(boundary_labels) < 1:
             raise ValueError("at least one boundary component required")
-        if len(set(self.boundary_labels)) != len(self.boundary_labels):
+        if len(set(boundary_labels)) != len(boundary_labels):
             raise ValueError("boundary labels must be distinct")
-        if self.puncture_count < 0:
+        if puncture_count < 0:
             raise ValueError("puncture count must be nonnegative")
-        object.__setattr__(self, "boundary_labels", tuple(self.boundary_labels))
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_labels", tuple(boundary_labels))
+        object.__setattr__(self, "puncture_count", puncture_count)
 
     @property
     def boundary_count(self) -> int:
@@ -105,13 +134,15 @@ def checked_type(x, kind: type, what: str, error=ValueError):
     return x
 
 
-@dataclass(frozen=True)
-class DenominatorBound:
+class DenominatorBound(Record):
     """Result of denominator_bound: D(S), with a degenerate flag for the
     disc and annulus where the general formula does not apply."""
 
-    value: int
-    degenerate: bool = False
+    __slots__ = ("value", "degenerate")
+
+    def __init__(self, value: int, degenerate: bool = False):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def denominator_bound(spec: SurfaceSpec) -> DenominatorBound:

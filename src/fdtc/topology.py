@@ -11,38 +11,37 @@ comparisons are exact rational comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
 from .errors import InconsistentDataError, WordError
 from .foliation import BoundReport, ceiling_average_infimum
+from .surface import Record
 
 MODES = ("monodromy", "braid")
 NT_TYPES = ("periodic", "reducible", "pseudoAnosov", "unknown")
 
 
-@dataclass(frozen=True)
-class CoefficientAssignment:
+class CoefficientAssignment(Record):
     """Twisting coefficients per boundary component, plus how they were
     computed: for the monodromy itself or for a braid complement."""
 
-    coefficients: dict
-    mode: str = "monodromy"
-    connected_boundary: bool = False
+    __slots__ = ("coefficients", "mode", "connected_boundary")
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: dict, mode: str = "monodromy",
+                 connected_boundary: bool = False):
+        if not coefficients:
             raise InconsistentDataError("empty coefficient assignment")
-        if self.mode not in MODES:
-            raise InconsistentDataError("unknown mode %r" % (self.mode,))
-        if self.connected_boundary and len(self.coefficients) != 1:
+        if mode not in MODES:
+            raise InconsistentDataError("unknown mode %r" % (mode,))
+        if connected_boundary and len(coefficients) != 1:
             raise InconsistentDataError(
-                "connected boundary with %d components"
-                % len(self.coefficients))
+                "connected boundary with %d components" % len(coefficients))
         object.__setattr__(
             self, "coefficients",
-            {str(k): Fraction(v) for (k, v) in self.coefficients.items()})
+            {str(k): Fraction(v) for (k, v) in coefficients.items()})
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "connected_boundary", connected_boundary)
 
     def values(self):
         return list(self.coefficients.values())
@@ -51,15 +50,18 @@ class CoefficientAssignment:
         return all(abs(c) > bound for c in self.values())
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one criterion: the conclusion, the criterion tag that
     produced it, and an echo of every hypothesis that was assumed or
     found to fail."""
 
-    conclusion: str
-    criterion: str
-    hypotheses: tuple = ()
+    __slots__ = ("conclusion", "criterion", "hypotheses")
+
+    def __init__(self, conclusion: str, criterion: str,
+                 hypotheses: tuple = ()):
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "hypotheses", hypotheses)
 
     @property
     def inconclusive(self) -> bool:

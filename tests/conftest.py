@@ -38,6 +38,19 @@ GENUS3_CHAIN = (
 )
 
 
+def replace(record, **changes):
+    """The record with the named fields changed, rebuilt through its
+    constructor and so through its checks, as ``dataclasses.replace``
+    does for a dataclass."""
+    fields = {k: getattr(record, k) for k in record.__slots__}
+    unknown = set(changes) - set(fields)
+    if unknown:
+        raise TypeError("%s has no field %s"
+                        % (type(record).__name__, sorted(unknown)))
+    fields.update(changes)
+    return type(record)(**fields)
+
+
 @pytest.fixture(scope="session")
 def torus_tri():
     return standard_triangulation(SurfaceSpec(1, ("S",)))

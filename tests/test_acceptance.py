@@ -2,7 +2,6 @@
 criterion, with exact (zero-tolerance) comparisons and wall-clock caps
 where specified.  Each test prints a single PASS line on success."""
 
-import dataclasses
 import json
 import random
 import time
@@ -22,6 +21,8 @@ from fdtc.fdtc import (
     key_lemma_interval,
     unique_bounded_denominator,
 )
+
+from conftest import replace
 
 TORUS_A = (0, 1, 0, 1, 1)
 TORUS_B = (1, 0, 0, 1, 0)
@@ -291,23 +292,23 @@ def test_criterion_09_foliation_validators():
     for g in graphs:
         assert foliation.validate_graph(g) == []
         corruptions = [
-            dataclasses.replace(g, surface=foliation.SurfaceTopology(
+            replace(g, surface=foliation.SurfaceTopology(
                 g.surface.genus + 1, g.surface.boundary_count)),
-            dataclasses.replace(g, surface=foliation.SurfaceTopology(
+            replace(g, surface=foliation.SurfaceTopology(
                 g.surface.genus, g.surface.boundary_count + 1)),
-            dataclasses.replace(
+            replace(
                 g, singular_leaf_incidence=g.singular_leaf_incidence[:-1]),
-            dataclasses.replace(
+            replace(
                 g, singular_leaf_incidence=g.singular_leaf_incidence
                 + g.singular_leaf_incidence[-1:]),
-            dataclasses.replace(g, c_circles_essential=True),
-            dataclasses.replace(
+            replace(g, c_circles_essential=True),
+            replace(
                 g, hyperbolic_points=g.hyperbolic_points[:-1]
-                + (dataclasses.replace(g.hyperbolic_points[-1],
+                + (replace(g.hyperbolic_points[-1],
                                        region_type="cc"),)),
-            dataclasses.replace(
+            replace(
                 g, elliptic_points=g.elliptic_points[:-1]
-                + (dataclasses.replace(g.elliptic_points[-1], sign=2),)),
+                + (replace(g.elliptic_points[-1], sign=2),)),
         ]
         for bad in corruptions:
             diags = foliation.validate_graph(bad)
@@ -428,15 +429,15 @@ def test_criterion_11_overtwisted_disc_checker():
 
     # condition 1: no negative elliptic point left -> the negative graph
     # degenerates
-    m1 = dataclasses.replace(g, elliptic_points=tuple(
-        dataclasses.replace(v, sign=1) if v.id == "v-" else v
+    m1 = replace(g, elliptic_points=tuple(
+        replace(v, sign=1) if v.id == "v-" else v
         for v in g.elliptic_points))
     out1 = foliation.transverse_ot_disc_check(m1)
     assert not out1["valid"]
     assert any("not a tree" in v for v in out1["violations"])
 
     # condition 2: c-circle leaves appear
-    m2 = dataclasses.replace(g, c_circle_presence=True)
+    m2 = replace(g, c_circle_presence=True)
     out2 = foliation.transverse_ot_disc_check(m2)
     assert not out2["valid"]
     assert out2["violations"] == ["foliation contains c-circle leaves"]
@@ -445,7 +446,7 @@ def test_criterion_11_overtwisted_disc_checker():
     # longer a circle (the other two conditions stay intact)
     inc = list(g.singular_leaf_incidence)
     inc[inc.index(("h3", "w1"))] = ("h3", "w3")
-    m3 = dataclasses.replace(g, singular_leaf_incidence=tuple(inc))
+    m3 = replace(g, singular_leaf_incidence=tuple(inc))
     out3 = foliation.transverse_ot_disc_check(m3)
     assert not out3["valid"]
     assert out3["violations"] == ["positive separatrix graph is not a circle"]

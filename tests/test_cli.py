@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fdtc
 from fdtc.cli import (
     EXIT_COMPUTATION,
     EXIT_INCONCLUSIVE,
@@ -416,3 +421,15 @@ class TestDeterminism:
         out = capsys.readouterr().out
         assert "task: foliation otdisc" in out
         assert "warning:" in out
+
+
+class TestColdStart:
+    def test_import_skips_dataclasses_and_inspect(self):
+        # -S keeps site hooks from importing modules of their own
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(fdtc.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", "import fdtc.cli, sys; print(sorted("
+             "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout == "[]\n"

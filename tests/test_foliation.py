@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,6 +23,8 @@ from fdtc.foliation import (
     trivial_disc_graph,
     validate_graph,
 )
+
+from conftest import replace
 
 
 def closed_torus_graph():
@@ -66,37 +67,37 @@ class TestValidateGraph:
 
     def test_euler_mismatch(self):
         g = trivial_disc_graph()
-        bad = dataclasses.replace(g, surface=SurfaceTopology(1, 1))
+        bad = replace(g, surface=SurfaceTopology(1, 1))
         assert any("Euler" in d for d in validate_graph(bad))
 
     def test_closed_unbalanced_elliptics(self):
         g = closed_torus_graph()
         flipped = tuple(
-            dataclasses.replace(v, sign=1) if v.id == "v-" else v
+            replace(v, sign=1) if v.id == "v-" else v
             for v in g.elliptic_points)
-        bad = dataclasses.replace(g, elliptic_points=flipped)
+        bad = replace(g, elliptic_points=flipped)
         assert any("algebraic intersection" in d for d in validate_graph(bad))
 
     def test_region_slot_mismatch(self):
         g = trivial_disc_graph()
-        bad = dataclasses.replace(
+        bad = replace(
             g, hyperbolic_points=(HyperbolicPoint("h1", 1, "bb"),))
         assert any("expected 4" in d for d in validate_graph(bad))
 
     def test_dangling_incidence(self):
         g = trivial_disc_graph()
-        bad = dataclasses.replace(
+        bad = replace(
             g, singular_leaf_incidence=g.singular_leaf_incidence + (("h9", "v1"),))
         assert any("unknown hyperbolic" in d for d in validate_graph(bad))
 
     def test_essential_ccircles_without_presence(self):
         g = trivial_disc_graph()
-        bad = dataclasses.replace(g, c_circles_essential=True)
+        bad = replace(g, c_circles_essential=True)
         assert any("none present" in d for d in validate_graph(bad))
 
     def test_c_region_without_circles(self):
         g = annulus_graph()
-        bad = dataclasses.replace(
+        bad = replace(
             g,
             hyperbolic_points=(HyperbolicPoint("h1", 1, "bc", True),),
             singular_leaf_incidence=(("h1", "v+"), ("h1", "v-")))
@@ -201,9 +202,9 @@ class TestMultiPointBounds:
     def test_mixed_labels_rejected(self):
         g = overtwisted_disc_graph(3)
         moved = tuple(
-            dataclasses.replace(v, boundary_label="D") if v.id == "w1" else v
+            replace(v, boundary_label="D") if v.id == "w1" else v
             for v in g.elliptic_points)
-        g2 = dataclasses.replace(g, elliptic_points=moved)
+        g2 = replace(g, elliptic_points=moved)
         with pytest.raises(FoliationError):
             multi_point_bounds(["v-", "w1"], g2)
 
@@ -265,7 +266,7 @@ class TestOvertwistedDiscCheck:
             assert out["non_right_veering"] and out["e_minus"] == 1
 
     def test_rejects_c_circles(self):
-        bad = dataclasses.replace(overtwisted_disc_graph(3),
+        bad = replace(overtwisted_disc_graph(3),
                                   c_circle_presence=True)
         out = transverse_ot_disc_check(bad)
         assert not out["valid"]
@@ -274,9 +275,9 @@ class TestOvertwistedDiscCheck:
     def test_rejects_broken_negative_graph(self):
         g = overtwisted_disc_graph(3)
         flipped = tuple(
-            dataclasses.replace(v, sign=1) if v.id == "v-" else v
+            replace(v, sign=1) if v.id == "v-" else v
             for v in g.elliptic_points)
-        bad = dataclasses.replace(g, elliptic_points=flipped)
+        bad = replace(g, elliptic_points=flipped)
         out = transverse_ot_disc_check(bad)
         assert not out["valid"]
         assert any("not a tree" in v for v in out["violations"])
@@ -285,7 +286,7 @@ class TestOvertwistedDiscCheck:
         g = overtwisted_disc_graph(3)
         inc = list(g.singular_leaf_incidence)
         inc[inc.index(("h3", "w1"))] = ("h3", "w3")
-        bad = dataclasses.replace(g, singular_leaf_incidence=tuple(inc))
+        bad = replace(g, singular_leaf_incidence=tuple(inc))
         out = transverse_ot_disc_check(bad)
         assert not out["valid"]
         assert any("not a circle" in v for v in out["violations"])
