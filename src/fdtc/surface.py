@@ -24,8 +24,9 @@ class Record:
     """A read-only record of the fields named in ``__slots__``, which its
     ``__init__`` sets through ``object.__setattr__``: equal to a record
     of its class with equal fields, hashed and shown by its fields, as a
-    frozen dataclass is.  A record whose fields may change puts back
-    ``object.__setattr__`` and ``object.__delattr__`` and has no hash."""
+    frozen dataclass is, and copied or pickled field by field.
+    A record whose fields may change puts back ``object.__setattr__`` and
+    ``object.__delattr__`` and has no hash."""
 
     __slots__ = ()
 
@@ -49,6 +50,10 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % (name,))
+
+    def __setstate__(self, state):  # (None, {slot: value}) from copy, pickle
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------

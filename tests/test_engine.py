@@ -427,6 +427,35 @@ class TestLetterCache:
         assert (again.steps, again.perm) == (first.steps, first.perm)
         assert engine.twist_encoding(tri, TORUS_A, 0).steps == ()
 
+    def test_word_compiles_each_letter_once(self, monkeypatch):
+        # a word composes its letters' parts itself, past the three
+        # *_encoding entry points; a fresh word of letters already
+        # compiled, and its powers, compile nothing
+        compiled = []
+        compile_letter = engine._compile_letter
+
+        def counted(tri, kind, x):
+            compiled.append((kind, x))
+            return compile_letter(tri, kind, x)
+
+        monkeypatch.setattr(engine, "_compile_letter", counted)
+        torus = standard_triangulation(SurfaceSpec(1, ("S",)))
+        disc = standard_triangulation(SurfaceSpec(0, ("C",), 3))
+        words = [
+            (torus, [Generator.twist(TORUS_A), Generator.boundary("S"),
+                     Generator.twist(TORUS_B, -1)]),
+            (disc, [Generator.braid(1), Generator.braid(2, -1)]),
+        ]
+        for tri, gens in words:
+            MappingClassWord(tri, gens).encoding()
+        assert sorted(kind for kind, _ in compiled) == [
+            "boundary", "braid", "braid", "twist", "twist"]
+        compiled.clear()
+        for tri, gens in words:
+            w = MappingClassWord(tri, [g.inverted() for g in gens] * 2)
+            w.encoding(), w.power(7).encoding(), w.power(-3).encoding()
+        assert compiled == []
+
     def test_power_zero_checks_matching(self, torus_tri):
         with pytest.raises(CurveError):
             engine.twist_encoding(torus_tri, (1, 0, 0, 0, 0), 0)

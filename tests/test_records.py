@@ -1,6 +1,8 @@
 """The records: construction with their defaults, equality, hash, repr,
-read-only fields, and the checks their constructors make."""
+read-only fields, copies, and the checks their constructors make."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from fdtc.foliation import (
     SurfaceTopology,
 )
 from fdtc.mcg import Generator
-from fdtc.surface import DenominatorBound, SurfaceSpec
+from fdtc.surface import DenominatorBound, SurfaceSpec, Triangulation
 from fdtc.topology import CoefficientAssignment, Verdict
 
 from conftest import TORUS_A, TORUS_B, replace
@@ -126,6 +128,19 @@ class TestRecords:
         with pytest.raises(AttributeError):
             r.extra = 1
         assert r == cls(*args)
+
+    def test_copy_and_pickle(self, case):
+        cls, args, _, _ = case
+        r = cls(*args)
+        assert copy.copy(r) == r
+        for twin in (copy.copy(r), copy.deepcopy(r),
+                     pickle.loads(pickle.dumps(r))):
+            assert type(twin) is cls and twin is not r
+            for k in cls.__slots__:
+                a, b = getattr(twin, k), getattr(r, k)
+                if isinstance(b, Triangulation):  # shown by its address
+                    a, b = a.triangles, b.triangles
+                assert repr(a) == repr(b)
 
     def test_repr(self, case):
         cls, args, _, _ = case
