@@ -35,9 +35,12 @@ class ParseError(FdtcError):
 
 
 def _fraction(x):
+    """A coefficient as written: an integer, a string "p" or "p/q" of
+    integers, or {"num": p, "den": q}; no decimal or exponent form, whose
+    digits Fraction would expand without bound."""
     try:
-        if isinstance(x, str):
-            return Fraction(x)
+        if isinstance(x, str) and x.count("/") <= 1:
+            return Fraction(*map(int, x.split("/")))
         if type(x) is int:  # not bool
             return Fraction(x)
         if isinstance(x, dict) and type(x["num"]) is type(x["den"]) is int:
@@ -48,24 +51,19 @@ def _fraction(x):
 
 
 class ProblemFile(Record):
-    """Validated contents of one problem file, each part built once."""
+    """Validated contents of one problem file, each part built once:
+    ``curves``, ``words`` and ``foliations`` map names to weight tuples,
+    MappingClassWords and FoliationGraphs, and ``assignment`` is a
+    CoefficientAssignment or None."""
 
     __slots__ = ("spec", "tri", "curves", "words", "foliations",
                  "assignment", "nt_type", "tight")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-    __hash__ = None
 
     def __init__(self, spec: SurfaceSpec, tri: Triangulation, curves: dict,
                  words: dict, foliations: dict, assignment: object,
                  nt_type: str = None, tight: bool = False):
-        self.spec = spec
-        self.tri = tri
-        self.curves = curves  # name -> weight tuple
-        self.words = words  # name -> MappingClassWord
-        self.foliations = foliations  # name -> FoliationGraph
-        self.assignment = assignment  # CoefficientAssignment or None
-        self.nt_type = nt_type
-        self.tight = tight
+        super().__init__(spec, tri, curves, words, foliations, assignment,
+                         nt_type, tight)
 
 
 def _section(data: dict, key: str) -> dict:
@@ -150,19 +148,11 @@ def parse_problem(source) -> ProblemFile:
 
 class Report(Record):
     __slots__ = ("task", "inputs", "results", "warnings")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-    __hash__ = None
 
     def __init__(self, task: str, inputs: dict, results: list = None,
                  warnings: list = None):
-        self.task = task
-        self.inputs = inputs
-        self.results = [] if results is None else results
-        self.warnings = [] if warnings is None else warnings
-
-    def to_json(self) -> dict:
-        return {"task": self.task, "inputs": self.inputs,
-                "results": self.results, "warnings": self.warnings}
+        super().__init__(task, inputs, [] if results is None else results,
+                         [] if warnings is None else warnings)
 
 
 def emit_report(report: Report, fmt: str = "json") -> bytes:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 
 from .errors import CurveError, ComputationError
-from .surface import Record, Triangulation
+from .surface import Record, Triangulation, checked_type
 
 # overlays materialize individual strands; refuse above this many slots
 OVERLAY_LIMIT = 200_000
@@ -46,13 +46,14 @@ class NormalCoordinates:
 
     def __init__(self, tri: Triangulation, weights):
         self.tri = tri
-        w = tuple(int(x) for x in weights)
+        w = tuple(weights)
         if len(w) != tri.edge_count:
             raise CurveError(
                 "expected %d weights, got %d" % (tri.edge_count, len(w))
             )
-        if any(x < 0 for x in w):
-            raise CurveError("negative edge weight")
+        if not all(type(x) is int and x >= 0 for x in w):  # not bool
+            raise CurveError("edge weights must be non-negative integers, "
+                             "not %r" % (w,))
         self.weights = w
 
     def __eq__(self, other):
@@ -364,11 +365,10 @@ class ArcClass(Record):
         tri = coords.tri
         if label not in tri.base_edge_of:
             raise CurveError("unknown boundary label %r" % label)
-        eps = tri.base_edge_of[label]
-        if not 0 <= slot < coords.weights[eps]:
+        checked_type(slot, int, "start slot", CurveError)
+        if not 0 <= slot < coords.weights[tri.base_edge_of[label]]:
             raise CurveError("start slot %d out of range on base edge" % slot)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "start", start)
+        super().__init__(coords, start)
 
     @property
     def tri(self) -> Triangulation:

@@ -63,10 +63,7 @@ class RationalInterval(Record):
             raise InconsistentDataError("interval endpoints out of order")
         if lo == hi and not (lo_closed and hi_closed):
             raise InconsistentDataError("degenerate interval must be closed")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "lo_closed", lo_closed)
-        object.__setattr__(self, "hi_closed", hi_closed)
+        super().__init__(lo, hi, lo_closed, hi_closed)
 
     @property
     def is_point(self) -> bool:
@@ -118,12 +115,7 @@ class FDTCResult(Record):
         if value is not None and interval is not None:
             if not interval.contains(value):
                 raise InconsistentDataError("value lies outside its interval")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "D", D)
+        super().__init__(value, interval, provenance, N, M, D)
 
     def to_json(self) -> dict:
         return {

@@ -34,8 +34,7 @@ class SurfaceTopology(Record):
     __slots__ = ("genus", "boundary_count")
 
     def __init__(self, genus: int, boundary_count: int):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary_count", boundary_count)
+        super().__init__(genus, boundary_count)
 
     @property
     def closed(self) -> bool:
@@ -56,19 +55,8 @@ class EllipticPoint(Record):
     def __init__(self, id: str, sign: int, boundary_label: str,
                  essential: bool = False, strongly_essential: bool = False,
                  a_arcs_present: bool = True):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "boundary_label", boundary_label)
-        object.__setattr__(self, "essential", essential)
-        object.__setattr__(self, "strongly_essential", strongly_essential)
-        object.__setattr__(self, "a_arcs_present", a_arcs_present)
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "sign": self.sign,
-                "boundary_label": self.boundary_label,
-                "essential": self.essential,
-                "strongly_essential": self.strongly_essential,
-                "a_arcs_present": self.a_arcs_present}
+        super().__init__(id, sign, boundary_label, essential,
+                         strongly_essential, a_arcs_present)
 
 
 class HyperbolicPoint(Record):
@@ -76,32 +64,17 @@ class HyperbolicPoint(Record):
 
     def __init__(self, id: str, sign: int, region_type: str,
                  degenerated: bool = False):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "region_type", region_type)
-        object.__setattr__(self, "degenerated", degenerated)
-
-    def to_json(self) -> dict:
-        return {"id": self.id, "sign": self.sign,
-                "region_type": self.region_type,
-                "degenerated": self.degenerated}
+        super().__init__(id, sign, region_type, degenerated)
 
 
 class SingularityCounts(Record):
     __slots__ = ("e_plus", "e_minus", "h_plus", "h_minus")
 
     def __init__(self, e_plus: int, e_minus: int, h_plus: int, h_minus: int):
-        object.__setattr__(self, "e_plus", e_plus)
-        object.__setattr__(self, "e_minus", e_minus)
-        object.__setattr__(self, "h_plus", h_plus)
-        object.__setattr__(self, "h_minus", h_minus)
+        super().__init__(e_plus, e_minus, h_plus, h_minus)
 
     def euler_characteristic(self) -> int:
         return (self.e_plus + self.e_minus) - (self.h_plus + self.h_minus)
-
-    def to_json(self) -> dict:
-        return {"e_plus": self.e_plus, "e_minus": self.e_minus,
-                "h_plus": self.h_plus, "h_minus": self.h_minus}
 
 
 def _objects(data: dict, key: str) -> list:
@@ -127,13 +100,9 @@ class FoliationGraph(Record):
                  hyperbolic_points: tuple, singular_leaf_incidence: tuple,
                  c_circle_presence: bool = False,
                  c_circles_essential: bool = False):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "elliptic_points", elliptic_points)
-        object.__setattr__(self, "hyperbolic_points", hyperbolic_points)
-        object.__setattr__(self, "singular_leaf_incidence",
-                           singular_leaf_incidence)
-        object.__setattr__(self, "c_circle_presence", c_circle_presence)
-        object.__setattr__(self, "c_circles_essential", c_circles_essential)
+        super().__init__(surface, elliptic_points, hyperbolic_points,
+                         singular_leaf_incidence, c_circle_presence,
+                         c_circles_essential)
 
     def elliptic(self, pid: str) -> EllipticPoint:
         for v in self.elliptic_points:
@@ -246,10 +215,7 @@ class BoundReport(Record):
         if lower > upper:
             raise InconsistentDataError("inconsistent foliation data: "
                                         "empty bound interval")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "assumptions", assumptions)
+        super().__init__(lower, upper, source, assumptions)
 
     def to_json(self) -> dict:
         return {"lower": {"num": self.lower.numerator,

@@ -20,8 +20,9 @@ from . import engine
 
 
 class Generator(Record):
-    """One letter: a Dehn twist along a curve, a boundary twist, or a
-    braid half twist, raised to an integer power.
+    """One letter of ``kind`` twist (a Dehn twist along a curve),
+    boundary (a boundary twist) or braid (a braid half twist), raised to
+    an integer power.
 
     Exactly one of ``curve`` (normal coordinates of an essential simple
     closed curve), ``label`` (boundary component) and ``index`` (1-based
@@ -34,11 +35,7 @@ class Generator(Record):
 
     def __init__(self, kind: str, power: int, curve: tuple = None,
                  label: str = None, index: int = None):
-        object.__setattr__(self, "kind", kind)  # twist, boundary, braid
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "index", index)
+        super().__init__(kind, power, curve, label, index)
 
     @staticmethod
     def twist(curve_weights, power: int = 1) -> "Generator":

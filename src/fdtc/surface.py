@@ -21,14 +21,18 @@ from .errors import TriangulationError
 
 
 class Record:
-    """A read-only record of the fields named in ``__slots__``, which its
-    ``__init__`` sets through ``object.__setattr__``: equal to a record
-    of its class with equal fields, hashed and shown by its fields, as a
-    frozen dataclass is, and copied or pickled field by field.
-    A record whose fields may change puts back ``object.__setattr__`` and
-    ``object.__delattr__`` and has no hash."""
+    """A read-only record of the fields named in ``__slots__``, which
+    ``Record.__init__`` sets in order: equal to a record of its class with
+    equal fields, hashed, shown and written to JSON by its fields, as a
+    frozen dataclass is, and copied or pickled field by field.  A record
+    class checks its arguments in its own ``__init__`` and passes the
+    field values on to this one."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, k) for k in self.__slots__])
@@ -52,8 +56,10 @@ class Record:
         raise AttributeError("cannot delete field %r" % (name,))
 
     def __setstate__(self, state):  # (None, {slot: value}) from copy, pickle
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+        Record.__init__(self, *map(state[1].get, self.__slots__))
+
+    def to_json(self) -> dict:
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +82,7 @@ class SurfaceSpec(Record):
             raise ValueError("boundary labels must be distinct")
         if puncture_count < 0:
             raise ValueError("puncture count must be nonnegative")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary_labels", tuple(boundary_labels))
-        object.__setattr__(self, "puncture_count", puncture_count)
+        super().__init__(genus, tuple(boundary_labels), puncture_count)
 
     @property
     def boundary_count(self) -> int:
@@ -146,8 +150,7 @@ class DenominatorBound(Record):
     __slots__ = ("value", "degenerate")
 
     def __init__(self, value: int, degenerate: bool = False):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "degenerate", degenerate)
+        super().__init__(value, degenerate)
 
 
 def denominator_bound(spec: SurfaceSpec) -> DenominatorBound:

@@ -37,11 +37,9 @@ class CoefficientAssignment(Record):
         if connected_boundary and len(coefficients) != 1:
             raise InconsistentDataError(
                 "connected boundary with %d components" % len(coefficients))
-        object.__setattr__(
-            self, "coefficients",
-            {str(k): Fraction(v) for (k, v) in coefficients.items()})
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "connected_boundary", connected_boundary)
+        super().__init__(
+            {str(k): Fraction(v) for (k, v) in coefficients.items()},
+            mode, connected_boundary)
 
     def values(self):
         return list(self.coefficients.values())
@@ -59,9 +57,7 @@ class Verdict(Record):
 
     def __init__(self, conclusion: str, criterion: str,
                  hypotheses: tuple = ()):
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "hypotheses", hypotheses)
+        super().__init__(conclusion, criterion, hypotheses)
 
     @property
     def inconclusive(self) -> bool:

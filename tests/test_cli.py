@@ -119,6 +119,8 @@ class TestParseProblem:
         {"num": 1.5, "den": 2},
         {"num": "3", "den": 2.9},
         True,
+        "1e5000",
+        "3/2/1",
     ])
     def test_rational_parts_must_be_integers(self, bad):
         data = torus_problem()
@@ -277,6 +279,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == ("computation error: script of 1000000000 flips "
                        "exceeds the cap of 10000000\n")
+
+    @pytest.mark.parametrize("written", ["1e5000", "1e999999999", "0.5"])
+    def test_decimal_or_exponent_rational_exit(self, capsys, written):
+        # Fraction reads all three: "1e999999999" as a billion digits, and
+        # "1e5000" fails later, when the report is written
+        data = torus_problem()
+        data["assignment"]["coefficients"]["S"] = written
+        assert main(["classify", json.dumps(data)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(
+            "parse error: bad rational %r: " % written)
+        data["assignment"]["coefficients"]["S"] = "-6/4"
+        assert main(["classify", json.dumps(data)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["inputs"]["coefficients"] \
+            == {"S": "-3/2"}
 
     @pytest.mark.parametrize("item", [3, {"twist": "a", "power": 1.5}])
     def test_bad_word_record_exit(self, tmp_path, capsys, item):

@@ -63,6 +63,18 @@ class TestMatching:
                                                  weights):
         assert not is_matching(NormalCoordinates(two_holed_torus_tri, weights))
 
+    @pytest.mark.parametrize("weights", [
+        [0.7, 1, 0, 1, 1.9],
+        [0, 1.0, 0, 1, 1],
+        ["0", 1, 0, 1, 1],
+        [True, 1, 0, 1, 1],
+        [0, 1, 0, -1, 1],
+    ], ids=["float", "integral-float", "string", "bool", "negative"])
+    def test_weights_checked_not_coerced(self, torus_tri, weights):
+        with pytest.raises(CurveError, match="non-negative integers"):
+            NormalCoordinates(torus_tri, weights)
+        assert NormalCoordinates(torus_tri, TORUS_A).weights == TORUS_A
+
 
 class TestTraceComponents:
     def test_single_curve(self, torus_tri):

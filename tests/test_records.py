@@ -75,7 +75,7 @@ CLASSES = ("SurfaceSpec", "DenominatorBound", "ArcClass", "RationalInterval",
            "FDTCResult", "SurfaceTopology", "EllipticPoint", "HyperbolicPoint",
            "SingularityCounts", "FoliationGraph", "BoundReport", "Generator",
            "CoefficientAssignment", "Verdict", "ProblemFile", "Report")
-MUTABLE = ("ProblemFile", "Report")
+UNHASHABLE = ("CoefficientAssignment", "ProblemFile", "Report")  # dict fields
 
 
 @pytest.fixture(params=range(len(CLASSES)), ids=CLASSES)
@@ -104,11 +104,8 @@ class TestRecords:
         changed = replace(a, **{field: other})
         assert changed != a and getattr(changed, field) == other
         assert a != tuple(getattr(a, k) for k in cls.__slots__)
-        if cls.__name__ in MUTABLE:
+        if cls.__name__ in UNHASHABLE:
             with pytest.raises(TypeError):
-                hash(a)
-        elif cls is CoefficientAssignment:
-            with pytest.raises(TypeError):  # a dict field, as before
                 hash(a)
         else:
             assert hash(a) == hash(b)
@@ -117,10 +114,6 @@ class TestRecords:
     def test_fields_read_only(self, case):
         cls, args, _, (field, other) = case
         r = cls(*args)
-        if cls.__name__ in MUTABLE:
-            setattr(r, field, other)
-            assert getattr(r, field) == other
-            return
         with pytest.raises(AttributeError):
             setattr(r, field, other)
         with pytest.raises(AttributeError):
@@ -165,6 +158,38 @@ class TestRecords:
         a, b = Report("t", {}), Report("t", {})
         a.results.append(1)
         assert b.results == [] and b.warnings == []
+
+    def test_problem_and_report_fields_read_only(self, torus_tri):
+        # their fields are fixed; the dicts and lists they hold are not
+        report = Report("classify", {"mode": "monodromy"})
+        problem = ProblemFile(SurfaceSpec(1, ("S",)), torus_tri, {}, {}, {},
+                              None)
+        for r, field in ((report, "results"), (report, "inputs"),
+                         (problem, "assignment"), (problem, "words")):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(r, field, getattr(r, field))
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(r, field)
+        report.results.append({"ok": True})
+        report.inputs["word2"] = "psi"
+        problem.words["w"] = None
+        assert report.to_json() == {
+            "task": "classify", "inputs": {"mode": "monodromy", "word2": "psi"},
+            "results": [{"ok": True}], "warnings": []}
+        assert list(problem.words) == ["w"]
+
+    @pytest.mark.parametrize("record,written", [
+        (EllipticPoint("v", -1, "C", True),
+         {"id": "v", "sign": -1, "boundary_label": "C", "essential": True,
+          "strongly_essential": False, "a_arcs_present": True}),
+        (HyperbolicPoint("h", 1, "ab"),
+         {"id": "h", "sign": 1, "region_type": "ab", "degenerated": False}),
+        (SingularityCounts(1, 2, 3, 4),
+         {"e_plus": 1, "e_minus": 2, "h_plus": 3, "h_minus": 4}),
+    ], ids=["EllipticPoint", "HyperbolicPoint", "SingularityCounts"])
+    def test_written_by_fields(self, record, written):
+        assert record.to_json() == written
+        assert list(record.to_json()) == list(written)
 
 
 class TestChecks:
@@ -223,3 +248,9 @@ class TestChecks:
             ArcClass(coords, ("S", 99))
         with pytest.raises(CurveError, match="out of range"):
             ArcClass(NormalCoordinates(torus_tri, [0] * 5), ("S", 0))
+
+    @pytest.mark.parametrize("slot", [0.5, 1.0, True, "0"])
+    def test_arc_start_slot_is_an_integer(self, torus_tri, slot):
+        coords = enumerate_arcs(torus_tri, "S", 8)[0].coords
+        with pytest.raises(CurveError, match="start slot must be an integer"):
+            ArcClass(coords, ("S", slot))
