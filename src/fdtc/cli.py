@@ -219,14 +219,8 @@ def run(problem: ProblemFile, args) -> Report:
             (report.inputs["word2"], w2) = _pick(problem.words, args.word2,
                                                  "word")
             audit = fdtc_mod.quasimorphism_audit(w, w2, C)
-            report.results.append({
-                "c1": str(audit["c1"]),
-                "c2": str(audit["c2"]),
-                "c12": str(audit["c12"]),
-                "defect": str(audit["defect"]),
-                "defect_ok": audit["defect_ok"],
-                "conjugation_ok": audit["conjugation_ok"],
-            })
+            report.results.append({k: v if type(v) is bool else str(v)
+                                   for (k, v) in audit.items()})
         return report
 
     if cmd == "foliation":
@@ -256,7 +250,6 @@ def run(problem: ProblemFile, args) -> Report:
             out = fol_mod.transverse_ot_disc_check(g)
             witness = fol_mod.bc_annulus_witness_check(g)
             if witness is not None:
-                out = dict(out)
                 out["bc_annulus_witness"] = witness["witness"]
             report.warnings.extend(out.pop("assumptions"))
             report.results.append(out)

@@ -98,7 +98,8 @@ def is_matching(c: NormalCoordinates) -> bool:
 #
 # All stepping happens in two routines.  ``_walk`` follows one strand and
 # yields one passage (t, k_in, k_out, exit edge, exit slot) per triangle;
-# it stops after yielding an exit through a boundary edge.  ``_lockstep``
+# it stops after yielding an exit through a boundary edge.  It traces a
+# whole strand from a crossing only in ``trace_strand``.  ``_lockstep``
 # follows two strands that enter one triangle side together and returns
 # at their first divergence: +1 when the second strand leaves through the
 # k+1 side (the right flank), -1 when it leaves through the k+2 side, 0
@@ -281,64 +282,46 @@ def _collar_entries(tri: Triangulation):
     return tri._cache["collar_entries"]
 
 
-def trace_arc_strand(c: NormalCoordinates, e: int, slot: int):
-    """Follow the strand starting on boundary edge e at the given slot.
-
-    Returns (edges, slots): the crossed edges after the start, ending
-    with the boundary edge where the strand terminates.
-    """
+def trace_strand(c: NormalCoordinates, e: int, slot: int) -> list:
+    """Passages (t, k_in, k_out, exit edge, exit slot) of the strand
+    through crossing ``slot`` of edge e.  From a boundary edge the strand
+    runs to the boundary edge where its arc ends; from an interior
+    crossing it runs once round, back to that crossing."""
     tri = c.tri
-    if not tri.is_boundary_edge(e):
-        raise CurveError("arc strands must start on a boundary edge")
     (t, k) = tri.incidences[e][0]
-    passages = list(_walk(c, t, k, _position(c, t, k, slot), c.total_weight + 1))
+    passages = []
+    for p in _walk(c, t, k, _position(c, t, k, slot), c.total_weight + 1):
+        passages.append(p)
+        if p[3] == e and p[4] == slot:
+            return passages
     if not tri.is_boundary_edge(passages[-1][3]):
         raise ComputationError("strand trace exceeded the total weight budget")
-    return [p[3] for p in passages], [p[4] for p in passages]
+    if not tri.is_boundary_edge(e):
+        raise CurveError("open strand not anchored on the boundary")
+    return passages
 
 
 def trace_components(c: NormalCoordinates):
     """Decompose desk-scale coordinates into strand components.
 
-    Returns a list of dicts with keys type ('arc'|'closed'), edges,
-    slots; arcs also carry start=(edge, slot).  Slot sequences include
-    the start crossing for closed components but not for arcs (whose
-    start is listed separately).
-    """
+    Returns a list of dicts with keys type ('arc'|'closed') and edges,
+    the edges of every crossing of the component; the arcs come first,
+    each traced from its crossing on the lower boundary edge."""
     tri = c.tri
     if c.total_weight > OVERLAY_LIMIT:
         raise ComputationError("coordinates too large to decompose explicitly")
     visited = set()
     comps = []
-    for e in sorted(tri.boundary_label_of_edge):
+    for e in sorted(range(tri.edge_count), key=lambda e: not tri.is_boundary_edge(e)):
+        arc = tri.is_boundary_edge(e)
         for slot in range(c.weights[e]):
             if (e, slot) in visited:
                 continue
-            edges, slots = trace_arc_strand(c, e, slot)
-            visited.add((e, slot))
-            visited.update(zip(edges, slots))
-            comps.append(
-                {"type": "arc", "start": (e, slot), "edges": edges, "slots": slots}
-            )
-    # remaining crossings belong to closed components
-    for e in range(tri.edge_count):
-        for slot in range(c.weights[e]):
-            if (e, slot) in visited:
-                continue
-            (t, k) = tri.incidences[e][0]
-            q = _position(c, t, k, slot)
-            edges, slots = [e], [slot]
-            for (_t, _k, _k2, e2, slot2) in _walk(c, t, k, q, c.total_weight + 2):
-                if tri.is_boundary_edge(e2):
-                    raise CurveError("open strand not anchored on the boundary")
-                if (e2, slot2) == (e, slot):
-                    break
-                edges.append(e2)
-                slots.append(slot2)
-            else:
-                raise ComputationError("closed trace did not close up")
-            visited.update(zip(edges, slots))
-            comps.append({"type": "closed", "edges": edges, "slots": slots})
+            # a closed strand's passages end back at its start crossing
+            crossings = [(e, slot)] * arc + [p[3:] for p in trace_strand(c, e, slot)]
+            visited.update(crossings)
+            comps.append({"type": "arc" if arc else "closed",
+                          "edges": [x for (x, _slot) in crossings]})
     return comps
 
 
@@ -374,15 +357,17 @@ class ArcClass(Record):
     def tri(self) -> Triangulation:
         return self.coords.tri
 
-    def walk(self):
-        """(edges, slots) of the strand from the start slot."""
-        eps = self.tri.base_edge_of[self.start[0]]
-        return trace_arc_strand(self.coords, eps, self.start[1])
+    def passages(self) -> list:
+        """The passages of the arc's strand, as ``trace_strand`` gives them."""
+        return trace_strand(self.coords, self.tri.base_edge_of[self.start[0]],
+                            self.start[1])
 
-    def end(self) -> tuple[str, int]:
-        edges, slots = self.walk()
-        e = edges[-1]
-        return (self.tri.boundary_label_of_edge[e], slots[-1])
+    def ends_on(self, label: str) -> int:
+        """The number of the arc's ends on boundary component ``label``:
+        its weight there, since only an end crosses a boundary edge."""
+        w = self.coords.weights
+        return sum(w[e] for e, lab in self.tri.boundary_label_of_edge.items()
+                   if lab == label)
 
 
 def arc_from_walk(tri: Triangulation, label: str, walk_edges) -> ArcClass | None:
@@ -397,8 +382,8 @@ def arc_from_walk(tri: Triangulation, label: str, walk_edges) -> ArcClass | None
     want = list(walk_edges)
     for slot in range(coords.weights[eps]):
         try:
-            edges, _slots = trace_arc_strand(coords, eps, slot)
-        except (CurveError, ComputationError):
+            edges = [p[3] for p in trace_strand(coords, eps, slot)]
+        except ComputationError:
             return None
         if edges == want and len(edges) + 1 == coords.total_weight:
             return ArcClass(coords, (label, slot))
@@ -464,16 +449,22 @@ def _spokes(tri: Triangulation, vid: int) -> list[int]:
     return out
 
 
-def vertex_link_walk(tri: Triangulation, vid: int) -> list[int]:
-    """Cyclic crossing sequence of the small circle around an interior
-    vertex."""
-    if tri.vertices[vid]["boundary"]:
-        raise CurveError("vertex %d is not interior" % vid)
-    return _spokes(tri, vid)
+def _fan_walk(walk: list, spokes):
+    """Continue ``walk`` across ``spokes``, cancelling an edge crossed
+    twice in a row: the third side of an ear, a triangle with two
+    boundary sides, which the walk would enter and leave again."""
+    for e in spokes:
+        if walk and walk[-1] == e:
+            walk.pop()
+        else:
+            walk.append(e)
 
 
 def puncture_link_curve(tri: Triangulation, vid: int) -> NormalCoordinates:
-    return coords_from_crossings(tri, vertex_link_walk(tri, vid))
+    """The small circle around interior vertex vid."""
+    if tri.vertices[vid]["boundary"]:
+        raise CurveError("vertex %d is not interior" % vid)
+    return coords_from_crossings(tri, _spokes(tri, vid))
 
 
 def boundary_parallel_curve(tri: Triangulation, label: str) -> NormalCoordinates:
@@ -483,8 +474,9 @@ def boundary_parallel_curve(tri: Triangulation, label: str) -> NormalCoordinates
     voc = tri.vertex_of_corner
     for (t, k) in cycle:
         # vertex at the head of this boundary side
-        head = voc[(t, (k + 1) % 3)]
-        edges.extend(_spokes(tri, head))
+        _fan_walk(edges, _spokes(tri, voc[(t, (k + 1) % 3)]))
+    while len(edges) > 1 and edges[0] == edges[-1]:  # an ear at the start
+        edges = edges[1:-1]
     coords = coords_from_crossings(tri, edges)
     if not is_matching(coords):
         raise ComputationError("boundary-parallel walk is not normal")
@@ -528,9 +520,9 @@ def _inessential_arcs(tri: Triangulation, label: str) -> dict:
         for step in range(m):
             t, k = cycle[sign * step % m]
             if sign == 1:
-                walk += _spokes(tri, voc[(t, (k + 1) % 3)])
+                _fan_walk(walk, _spokes(tri, voc[(t, (k + 1) % 3)]))
             else:
-                walk += reversed(_spokes(tri, voc[(t, k)]))
+                _fan_walk(walk, reversed(_spokes(tri, voc[(t, k)])))
             t2, k2 = cycle[sign * (step + 1) % m]
             arc = arc_from_walk(tri, label, walk + [tri.triangles[t2][k2][0]])
             if arc is not None:
@@ -567,12 +559,10 @@ def enumerate_arcs(tri: Triangulation, C: str, weight_bound: int) -> list[ArcCla
                 if arc is not None and is_essential(arc):
                     found.setdefault((arc.coords.weights, arc.start), arc)
                 continue
+            # one more boundary crossing must not exceed the budget
             if len(new_walk) + 2 <= weight_bound:
                 t3, k3 = tri.other_incidence(e2, t, k2)
                 dfs(t3, k3, new_walk)
-            else:
-                # one more boundary crossing would exceed the budget
-                pass
 
     if weight_bound >= 2:
         dfs(t0, k0, [])
@@ -698,26 +688,13 @@ def _overlay_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
 # and leaving through the same side are then cancelled in a stack pass,
 # which restores normality.
 #
-# The drag (``boundary_drag`` with ``arc_passages``, ``reduce_passages``
+# The drag (``boundary_drag`` with ``ArcClass.passages``, ``reduce_passages``
 # and ``_arc_from_passages``) is not on any computation path: the Key
 # Lemma replays the compiled boundary letter.  It stays as the tests'
 # independent construction of T_C, against which every boundary letter
 # is checked, and because ``bench/tracer.py`` wraps ``boundary_drag`` by
 # name.  ``_boundary_wrap`` and ``collar_laps`` serve the Key Lemma
 # search.
-
-
-def arc_passages(g: ArcClass):
-    """Passage list [(t, k_in, k_out), ...] of the arc's taut strand."""
-    tri = g.tri
-    c = g.coords
-    eps = tri.base_edge_of[g.start[0]]
-    (t, k) = tri.incidences[eps][0]
-    q = _position(c, t, k, g.start[1])
-    passages = list(_walk(c, t, k, q, c.total_weight + 1))
-    if not tri.is_boundary_edge(passages[-1][3]):
-        raise ComputationError("passage trace exceeded the weight budget")
-    return [p[:3] for p in passages]
 
 
 def reduce_passages(tri: Triangulation, passages):
@@ -777,8 +754,14 @@ def _boundary_wrap(tri: Triangulation, label: str, direction: int,
         if tri.is_boundary_edge(e) and e != eps:
             kout = (kin + other) % 3
             e = tri.triangles[t][kout][0]
-            if tri.is_boundary_edge(e) and e != eps:
-                raise ComputationError("collar wrap trapped in a corner triangle")
+        if tri.is_boundary_edge(e) and e != eps and passages:
+            # an ear, two boundary sides: back out of it, and leave the
+            # triangle before by its remaining side
+            t, kin, kout = passages.pop()
+            kout = 3 - kin - kout
+            e = tri.triangles[t][kout][0]
+        if tri.is_boundary_edge(e) and e != eps:
+            raise ComputationError("collar wrap trapped in a corner triangle")
         if e == eps:
             return passages, kin
         passages.append((t, kin, kout))
@@ -830,12 +813,12 @@ def boundary_drag(g: ArcClass, label: str, direction: int) -> ArcClass:
     calls it (``bench/tracer.py`` names it)."""
     _check_direction(direction)
     tri = g.tri
-    orig = arc_passages(g)
-    end_label, _end_slot = g.end()
     drag_s = g.start[0] == label
-    drag_e = end_label == label
+    # the far end is on label when label holds more ends than the start
+    drag_e = g.ends_on(label) > drag_s
     if not drag_s and not drag_e:
         return g
+    orig = [p[:3] for p in g.passages()]
     if len(orig) < 2 and drag_s and drag_e:
         raise CurveError("cannot drag a boundary-parallel sliver arc")
     seq: list = []

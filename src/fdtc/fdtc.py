@@ -142,7 +142,7 @@ def _drag_chain(gamma: curves.ArcClass, C: str, sign: int):
     tri = gamma.tri
     key = ("drag_chain", C, sign, gamma.coords.weights, gamma.start)
     if key not in tri._cache:
-        k = (gamma.start[0] == C) + (gamma.end()[0] == C)
+        k = gamma.ends_on(C)
         c_C = curves.boundary_parallel_curve(tri, C).weights
         lap = tuple(k * x for x in c_C)
         forward = engine.boundary_twist_encoding(tri, C, sign).forward

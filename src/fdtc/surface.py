@@ -214,13 +214,17 @@ class Triangulation:
     ):
         self.surface = surface
         self.triangles: tuple[tuple[Side, Side, Side], ...] = tuple(
-            tuple((int(e), int(s)) for (e, s) in tri) for tri in triangles
+            tuple((e, s) for (e, s) in tri) for tri in triangles
         )
         self.boundary_label_of_edge = dict(boundary_label_of_edge)
         self.base_edge_of = dict(base_edge_of)
         edges = set()
         for tri in self.triangles:
-            for (e, _s) in tri:
+            for (e, s) in tri:
+                # a bool is neither an edge id nor a sign
+                if type(e) is not int or type(s) is not int or s not in (1, -1):
+                    raise TriangulationError("side %r needs an integer edge "
+                                             "id and a sign of 1 or -1" % ((e, s),))
                 edges.add(e)
         if edges and edges != set(range(len(edges))):
             raise TriangulationError("edge ids must be 0..E-1 without gaps")
@@ -358,8 +362,6 @@ def validate_triangulation(t: Triangulation) -> list[str]:
                 diags.append("triangle %d does not have three sides" % ti)
                 continue
             for k, (e, s) in enumerate(tri):
-                if s not in (1, -1):
-                    diags.append("triangle %d slot %d has bad sign" % (ti, k))
                 incidences.setdefault(e, []).append((ti, k, s))
         for e, inc in sorted(incidences.items()):
             if len(inc) > 2:
@@ -487,10 +489,6 @@ def _cone_punctures(tri: Triangulation, spec: SurfaceSpec, n: int) -> Triangulat
     """Add n interior vertices by coning, chaining each new puncture to
     the previous one by an edge."""
     if n == 0:
-        if tri.surface != spec:
-            tri = Triangulation(
-                spec, tri.triangles, tri.boundary_label_of_edge, tri.base_edge_of
-            )
         return tri
     triangles = [list(t) for t in tri.triangles]
     next_edge = tri.edge_count

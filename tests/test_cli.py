@@ -20,7 +20,15 @@ from fdtc.cli import (
     parse_problem,
     run,
 )
-from fdtc.foliation import overtwisted_disc_graph, trivial_disc_graph
+from fdtc.foliation import (
+    EllipticPoint,
+    FoliationGraph,
+    HyperbolicPoint,
+    SurfaceTopology,
+    aggregate_bounds,
+    overtwisted_disc_graph,
+    trivial_disc_graph,
+)
 from fdtc.mcg import MappingClassWord
 from conftest import TORUS_A, TORUS_B, TWO_HOLED_FOLDED, TWO_HOLED_ODD
 
@@ -238,6 +246,30 @@ class TestMain:
                      "--graph", "ot"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["results"][0]["non_right_veering"] is True
+
+    def test_foliation_bounds_aggregate(self, foliation_file, capsys):
+        assert main(["foliation", "bounds", foliation_file, "--graph", "ot",
+                     "--points", "w1,w2,w3", "--mode", "braid",
+                     "--aggregate"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        want = aggregate_bounds(["w1", "w2", "w3"], overtwisted_disc_graph(3),
+                                "braid")
+        assert out["results"] == [want.to_json()]
+        assert out["inputs"]["points"] == "w1,w2,w3"
+
+    def test_foliation_otdisc_bc_annulus_witness(self, capsys):
+        ells = (EllipticPoint("v+", 1, "C1", True, True, True),
+                EllipticPoint("v-", -1, "C2", True, True, False))
+        graph = FoliationGraph(
+            SurfaceTopology(0, 2), ells, (HyperbolicPoint("h1", 1, "bc", True),),
+            (("h1", "v+"), ("h1", "v-")), c_circle_presence=True,
+            c_circles_essential=True)
+        problem = {"surface": {"genus": 0, "boundary": ["C1", "C2"]},
+                   "foliations": {"g": graph.to_json()}}
+        assert main(["foliation", "otdisc", json.dumps(problem)]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["results"][0]["bc_annulus_witness"] == "h1"
+        assert out["results"][0]["valid"] is False
 
     def test_parse_error_exit(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

@@ -13,7 +13,6 @@ from fdtc.curves import (
     ArcClass,
     NormalCoordinates,
     Ordering,
-    arc_passages,
     boundary_drag,
     boundary_parallel_curve,
     collar_laps,
@@ -131,17 +130,15 @@ class TestArcPassages:
         arcs = enumerate_arcs(tri, C, 6)
         assert arcs
         for g in arcs:
-            passages = arc_passages(g)
-            edges, _slots = g.walk()
-            assert len(passages) == len(edges)
+            passages = g.passages()
             entry = tri.incidences[tri.base_edge_of[C]][0]
-            for (t, k_in, k_out), e in zip(passages, edges):
+            for (t, k_in, k_out, e, _slot) in passages:
                 assert (t, k_in) == entry
                 assert k_in != k_out
                 assert tri.triangles[t][k_out][0] == e
                 if not tri.is_boundary_edge(e):
                     entry = tri.other_incidence(e, t, k_out)
-            assert tri.is_boundary_edge(edges[-1])
+            assert tri.is_boundary_edge(passages[-1][3])
 
 
 class TestGeometricIntersection:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdtc.errors import ComputationError, WordError
+from fdtc.errors import ComputationError, TriangulationError, WordError
 from fdtc.surface import SurfaceSpec, standard_triangulation
 from fdtc import curves, engine
 from fdtc import fdtc as fdtc_mod
@@ -455,6 +455,67 @@ class TestGenus3ShortTwists:
         for cw in short:
             w = MappingClassWord(tri, [Generator.twist(cw)])
             assert fdtc_exact(w, "S").value == 0, cw
+
+
+def _flip_path(tri, rng):
+    """The triangulation after a few random flips (the folded edge of a
+    self-folded triangle is skipped), and the encoding of those flips."""
+    steps = []
+    for _ in range(rng.randint(3, 14)):
+        interior = [e for e in range(tri.edge_count)
+                    if not tri.is_boundary_edge(e)]
+        try:
+            tri, step = engine.flip(tri, rng.choice(interior))
+        except TriangulationError:
+            continue
+        steps.append(step)
+    return tri, engine.Encoding(steps)
+
+
+def _pairs(*i):
+    return lambda tri: [engine.pair_curve_weights(tri, j) for j in i]
+
+
+# (surface, the two curves of a twist word on its standard triangulation)
+FLIPPED_CASES = [
+    (SurfaceSpec(0, ("C",), 2), _pairs(1, 1)),
+    (SurfaceSpec(0, ("C",), 3), _pairs(1, 2)),
+    (SurfaceSpec(0, ("C",), 4), _pairs(1, 3)),
+    (SurfaceSpec(1, ("S",)), lambda tri: [TORUS_A, TORUS_B]),
+    (SurfaceSpec(1, ("C1", "C2")), lambda tri: [TWO_HOLED_A, TWO_HOLED_B]),
+    (SurfaceSpec(0, ("C1", "C2", "C3")), lambda tri: [
+        curves.boundary_parallel_curve(tri, C).weights for C in ("C1", "C2")]),
+]
+
+
+class TestFlippedTriangulations:
+    """Seeded flips change no answer.  On a punctured disc they make ears,
+    triangles with two boundary sides, which the collar wrap backs out
+    of and the boundary-parallel and inessential-arc walks cancel."""
+
+    @pytest.mark.parametrize("spec,pair", FLIPPED_CASES,
+                             ids=["D2", "D3", "D4", "S11", "S12", "S03"])
+    def test_same_as_standard(self, spec, pair):
+        std = standard_triangulation(spec)
+        letters = [Generator.twist(c) for c in pair(std)]
+        want = {C: fdtc_exact(MappingClassWord(std, letters), C).value
+                for C in spec.boundary_labels}
+        rng = random.Random(20)
+        ears = 0
+        for _ in range(8):
+            tri, enc = _flip_path(std, rng)
+            ears += any(sum(tri.is_boundary_edge(e) for (e, _s) in sides) == 2
+                        for sides in tri.triangles)
+            moved = [Generator.twist(enc.forward(g.curve)) for g in letters]
+            for C in spec.boundary_labels:
+                assert curves.boundary_parallel_curve(tri, C).weights == \
+                    enc.forward(curves.boundary_parallel_curve(std, C).weights)
+                assert len(curves._inessential_arcs(tri, C)) == \
+                    len(curves._inessential_arcs(std, C))
+                T_C2 = MappingClassWord(tri, [Generator.boundary(C, 2)])
+                assert fdtc_exact(T_C2, C).value == 2
+                assert fdtc_exact(MappingClassWord(tri, moved), C).value == want[C]
+        assert ears or not spec.puncture_count
 
 
 class TestQuasimorphism:

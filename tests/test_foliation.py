@@ -293,6 +293,21 @@ class TestOvertwistedDiscCheck:
         assert not any("not a tree" in v for v in out["violations"])
         assert not any("c-circle" in v for v in out["violations"])
 
+    def test_rejects_negative_separatrix_on_boundary(self):
+        # a negative hyperbolic point with one negative elliptic neighbour:
+        # its other separatrix ends on the boundary, at a fake vertex
+        g = overtwisted_disc_graph(3)
+        bad = replace(
+            g, hyperbolic_points=g.hyperbolic_points
+            + (HyperbolicPoint("hn", -1, "ab"),),
+            singular_leaf_incidence=g.singular_leaf_incidence
+            + (("hn", "v-"), ("hn", "w1")))
+        out = transverse_ot_disc_check(bad)
+        assert not out["valid"]
+        assert "negative separatrix graph has fake vertices (separatrix " \
+            "ends on the boundary)" in out["violations"]
+        assert not any("not a tree" in v for v in out["violations"])
+
     def test_trivial_disc_not_overtwisted(self):
         out = transverse_ot_disc_check(trivial_disc_graph())
         assert not out["valid"]

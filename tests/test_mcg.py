@@ -207,6 +207,14 @@ class TestJson:
         back = MappingClassWord.from_json(torus_tri, w.to_json())
         assert back.generators == w.generators
 
+    def test_braid_roundtrip(self, disc3_tri):
+        w = MappingClassWord(disc3_tri, [Generator.braid(1, 2),
+                                         Generator.braid(2, -1)])
+        data = w.to_json()
+        assert data == [{"braid": 1, "power": 2}, {"braid": 2, "power": -1}]
+        back = MappingClassWord.from_json(disc3_tri, data)
+        assert back.generators == w.generators
+
     def test_named_curves(self, torus_tri):
         data = [{"twist": "a", "power": 1}, {"braid": None}]
         w = MappingClassWord.from_json(torus_tri, [{"twist": "a"}],

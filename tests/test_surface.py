@@ -6,6 +6,7 @@ from fdtc.engine import flip
 from fdtc.errors import TriangulationError
 from fdtc.surface import (
     SurfaceSpec,
+    Triangulation,
     denominator_bound,
     admissible_values,
     standard_triangulation,
@@ -98,6 +99,29 @@ class TestStandardTriangulation:
         v = len(tri.vertices)
         f = len(tri.triangles)
         assert v - tri.edge_count + f == SurfaceSpec(1, ("S",)).euler_characteristic
+
+
+class TestTriangulationChecks:
+    """Sides are checked, not coerced: edge ids must be ints and signs
+    1 or -1, a bool counting as neither."""
+
+    @staticmethod
+    def _with_side(e, s):
+        tri = standard_triangulation(SurfaceSpec(1, ("S",)))
+        triangles = [list(sides) for sides in tri.triangles]
+        triangles[0][0] = (e, s)
+        return Triangulation(tri.surface, triangles,
+                             tri.boundary_label_of_edge, tri.base_edge_of)
+
+    @pytest.mark.parametrize("e", [1.0, 1.9, "1", True])
+    def test_edge_id_is_an_integer(self, e):
+        with pytest.raises(TriangulationError, match="integer edge id"):
+            self._with_side(e, 1)
+
+    @pytest.mark.parametrize("s", [5, 0, True, 1.0, "-1"])
+    def test_sign_is_one_or_minus_one(self, s):
+        with pytest.raises(TriangulationError, match="sign of 1 or -1"):
+            self._with_side(1, s)
 
 
 FLIP_SURFACES = [
