@@ -582,8 +582,8 @@ def geometric_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
     symmetric.  Pairs with at most OVERLAY_PAIR_LIMIT pairs of crossings
     on shared interior edges are overlaid strand by strand; above that
     the lighter side must decompose into closed non-puncture-parallel
-    curves, whose intersection with the other side is read off from the
-    stabilized growth rate under twisting."""
+    curves, whose intersection with the other side is the rate at which
+    twists along them grow it."""
     if a.tri is not b.tri:
         raise CurveError("coordinates live on different triangulations")
     if a.weights == b.weights:
@@ -615,27 +615,31 @@ def geometric_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
 
 
 def _twist_growth_intersection(x: NormalCoordinates, c: NormalCoordinates) -> int:
-    """i(x, c) for a closed essential curve c: after a short transient,
-    each extra twist along c adds exactly i(x, c) parallel copies of c,
-    so consecutive total-weight differences stabilize at i * |c|."""
-    from .engine import twist_encoding
+    """i(x, c) for a closed essential curve c, as the rate at which twists
+    along c grow x.
 
-    enc = twist_encoding(c.tri, c.weights)
-    totc = c.total_weight
-    cur = x.weights
-    prev_total = sum(cur)
-    diffs = []
-    for k in range(60):
-        cur = enc.forward(cur)
-        t = sum(cur)
-        diffs.append(t - prev_total)
-        prev_total = t
-        if len(diffs) >= 4 and diffs[-1] == diffs[-2] == diffs[-3] == diffs[-4]:
-            d = diffs[-1]
-            if d % totc != 0 or d < 0:
-                raise ComputationError("twist growth rate is not a multiple of |c|")
-            return d // totc
-    raise ComputationError("twist growth did not stabilize")
+    Carried to c's annular position, where c crosses the edges e and f
+    once each, the twist is the core of a twist run (``engine.TwistRun``):
+    each twist changes only t_0 = w[e] and t_1 = w[f].  After at most two
+    twists the run is affine (2 t_1 >= w[a] + w[b]).  A growing affine
+    stretch then adds d = t_1 - t_0 = i(x, c) copies of c per twist for
+    good, and a shrinking one bounces into a growing one of difference
+    -d, so i(x, c) = |t_1 - t_0|.  A curve around a one-edge boundary
+    component has no annular position; it meets x once per end of x on
+    that component."""
+    from .engine import letter_parts
+
+    tri = c.tri
+    for lab, cycle in tri.boundary_cycles.items():
+        if len(cycle) == 1 and c.weights == boundary_parallel_curve(tri, lab).weights:
+            return sum(x.weights[e] for e, side in
+                       tri.boundary_label_of_edge.items() if side == lab)
+    conj, core, _ = letter_parts(tri, "twist", c.weights, 1)
+    e, f, a, b = core.annular_twist()
+    w = conj.forward(x.weights)
+    while 2 * w[f] < w[a] + w[b]:
+        w = core.forward(w)
+    return abs(w[f] - w[e])
 
 
 def _overlay_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:

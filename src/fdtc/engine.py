@@ -8,17 +8,21 @@ The rule only mentions edge ids, so a flip recorded once as the tuple
 (e, a, b, c, d) can later be replayed on any weight vector, and the same
 formula undoes itself.
 
-An ``Encoding`` is the one compiled form of a mapping class: flips
+An ``Encoding`` is the one compiled form of a mapping class: steps
 replayed in place on one list of weights, then one renaming of the
-edges.  A replayed flip is two sums, one comparison and a difference;
-the inverse renaming is worked out once per encoding.  Composition,
-inversion and powers push every renaming to the end by renaming the
-edge ids of the flips behind it.  ``compose`` walks a list of encodings
-once, reading each through the renaming so far; a power repeats and
-cuts the copy cycle of its core (the copies up to the period of the
-core's renaming), which the core keeps, as it keeps its inverse.  No
-script longer than ``_SCRIPT_CAP`` flips is built: asking for one raises
-ComputationError with its length and the cap.
+edges.  A step is a flip or a twist run: k copies of an annular twist
+core (one flip, then the swap of the flipped edge with the other edge
+its curve crosses), replayed in closed form by ``_twist_run``.  A
+replayed flip is two sums, one comparison and a difference; the inverse
+renaming is worked out once per encoding.  Composition, inversion and
+powers push every renaming to the end by renaming the edge ids of the
+steps behind it.  ``compose`` walks a list of encodings once, reading
+each through the renaming so far.  The k-th power of a twist core is
+one twist run; any other power repeats and cuts the copy cycle of its
+core (the copies up to the period of the core's renaming), which the
+core keeps, as it keeps its inverse.  No script longer than
+``_SCRIPT_CAP`` steps is built: asking for one raises ComputationError
+with its length and the cap.
 
 A Dehn twist along a simple closed curve is compiled into such a script:
 flip until the curve crosses just two edges once each (so two triangles
@@ -30,11 +34,11 @@ around the curve enclosing punctures i and i+1, where the half twist is
 three flips next to the once-punctured monogon around one of them.
 Neither move involves a search beyond the shortening.  Each letter is
 compiled once into (conjugator, core move, inverse conjugator) and kept
-in the triangulation's letter cache; its k-th power replays the core k
-times between the two, and a word composes those three parts of all its
-letters in one pass.  Applying the script is pure big-integer
-arithmetic, which is what makes high twist powers on huge coordinates
-affordable.
+in the triangulation's letter cache; its k-th power puts the core's
+k-th power between the two, and a word composes those three parts of
+all its letters in one pass.  Applying the script is pure big-integer
+arithmetic, and a twist letter's power costs the same at any k, which
+is what makes high twist powers on huge coordinates affordable.
 
 The twist along a boundary component that is a single edge, whose curve
 has no annular position on a one-boundary surface without punctures,
@@ -53,7 +57,9 @@ from . import curves as _curves
 
 _SEARCH_CAP = 20000  # states explored when shortening a curve
 _PROBE_SEARCH_CAP = 200000  # states explored when reconstructing from probes
-_SCRIPT_CAP = 10 ** 7  # flips in one script; one replay of that many takes ~2 s
+# steps (flips or twist runs) in one script; one replay of that many
+# flips takes ~2 s
+_SCRIPT_CAP = 10 ** 7
 
 
 def _renaming(perm):
@@ -77,43 +83,119 @@ def _then(p, q):
     return _renaming([q[new] for new in p])
 
 
+class TwistRun(tuple):
+    """The step (e, x, a, c, k): k >= 1 copies of an annular twist core,
+    the flip (e, a, x, c, x) followed by the swap of e and x, where a
+    and c are neither e nor x.
+
+    With t_0 = w[e], t_1 = w[x] and S = w[a] + w[c], which the run never
+    changes, copy n + 1 gives t_{n+1} = max(S, 2 t_n) - t_{n-1}, and
+    after k copies w[e] = t_k and w[x] = t_{k+1}.  While 2 t_n >= S the
+    rule is affine: t_{n+1} - t_n = t_n - t_{n-1} = d.  If moreover
+    d >= 0, then t_{n+1} >= t_n, so 2 t_{n+1} >= S and the difference
+    stays d: the rule is affine for every later copy.  So ``_twist_run``
+    takes each affine stretch in one integer division: a shrinking one
+    (d < 0, the run unwinding an opposite spiral) until 2 t < S, where
+    at most two single copies bounce it into a growing one (d > 0), and
+    the growing one to the end."""
+
+    __slots__ = ()
+
+
+def _twist_run(w, run):
+    """Replay the twist run on the weights w in place.  Inside an affine
+    stretch the values are monotone, so its first and last value are
+    the ones to check: the flip-by-flip replay produces a negative
+    weight exactly when one of them is negative."""
+    e, x, a, c, k = run
+    s = w[a] + w[c]
+    t0, t1 = w[e], w[x]
+    while k:
+        if 2 * t1 < s:  # the max is S: one copy on its own
+            t0, t1, n = t1, s - t0, 1
+            low = t1
+        else:
+            d = t1 - t0
+            n = k if d >= 0 else min(k, (2 * t1 - s) // (-2 * d) + 1)
+            low = t1 + d if d >= 0 else t1 + n * d
+            t0, t1 = t1 + (n - 1) * d, t1 + n * d
+        if low < 0:
+            raise ComputationError("flip produced a negative weight")
+        k -= n
+    w[e], w[x] = t0, t1
+
+
 def _read_through(steps, table):
-    """The flips with every edge id x replaced by table[x]."""
-    return tuple((table[e], table[a], table[b], table[c], table[d])
-                 for e, a, b, c, d in steps)
+    """The steps with every edge id x replaced by table[x]; a twist run
+    keeps its count."""
+    return tuple(
+        (table[e], table[a], table[b], table[c], table[d])
+        if type(step) is tuple else
+        TwistRun((table[e], table[a], table[b], table[c], d))
+        for step in steps for e, a, b, c, d in (step,))
+
+
+def _undone(steps):
+    """The steps that undo ``steps``, last first: a flip undoes itself,
+    and the run (e, x, a, c, k) is undone by (x, e, a, c, k)."""
+    return tuple(step if type(step) is tuple else
+                 TwistRun((step[1], step[0]) + step[2:])
+                 for step in reversed(steps))
+
+
+def _segments(steps):
+    """The steps as (flips, run) pairs: a stretch of flips, then one
+    twist run, or None after the last stretch."""
+    if TwistRun not in map(type, steps):
+        return ((steps, None),)
+    out, start = [], 0
+    for i, step in enumerate(steps):
+        if type(step) is TwistRun:
+            out.append((steps[start:i], step))
+            start = i + 1
+    out.append((steps[start:], None))
+    return tuple(out)
 
 
 def _check_length(n: int):
-    """Refuse to build a script of n flips beyond _SCRIPT_CAP."""
+    """Refuse to build a script of n steps beyond _SCRIPT_CAP."""
     if n > _SCRIPT_CAP:
         raise ComputationError("script of %d flips exceeds the cap of %d"
                                % (n, _SCRIPT_CAP))
 
 
 class Encoding:
-    """A replayable mapping class on edge weights: the flips ``steps``,
-    each an (e, a, b, c, d) tuple, then the edge renaming ``perm``.
+    """A replayable mapping class on edge weights: the steps ``steps``,
+    each a flip (e, a, b, c, d) or a ``TwistRun``, then the edge
+    renaming ``perm``.
 
-    The inverse renaming, the inverse encoding and the copy cycle of
-    ``power`` are filled in on first use and kept, so a letter core in
-    the letter cache computes each of them once."""
+    The inverse renaming, the inverse encoding, the stretches of flips
+    between twist runs and the copy cycle of ``power`` are filled in on
+    first use and kept, so a letter core in the letter cache computes
+    each of them once."""
 
-    __slots__ = ("steps", "perm", "_unrename", "_inverted", "_cycle")
+    __slots__ = ("steps", "perm", "_unrename", "_inverted", "_segments",
+                 "_cycle")
 
     def __init__(self, steps, perm=None):
         self.steps = tuple(steps)
         self.perm = _renaming(perm)
-        self._unrename = self._inverted = self._cycle = None
+        self._unrename = self._inverted = self._segments = self._cycle = None
 
     def forward(self, w):
         w = list(w)
-        for e, a, b, c, d in self.steps:
-            p = w[a] + w[c]
-            q = w[b] + w[d]
-            x = (p if p >= q else q) - w[e]
-            if x < 0:
-                raise ComputationError("flip produced a negative weight")
-            w[e] = x
+        if self._segments is None:
+            self._segments = _segments(self.steps)
+        for flips, run in self._segments:
+            for e, a, b, c, d in flips:
+                p = w[a] + w[c]
+                q = w[b] + w[d]
+                x = (p if p >= q else q) - w[e]
+                if x < 0:
+                    raise ComputationError("flip produced a negative weight")
+                w[e] = x
+            if run is not None:
+                _twist_run(w, run)
         if self.perm is not None:
             if self._unrename is None:
                 self._unrename = _inverse(self.perm)
@@ -121,32 +203,52 @@ class Encoding:
         return tuple(w)
 
     def inverted(self) -> "Encoding":
-        # the renaming is undone first, so the reversed flips read through it
+        # the renaming is undone first, so the undoing steps read through it
         if self._inverted is None:
+            steps = _undone(self.steps)
             if self.perm is None:
-                self._inverted = Encoding(self.steps[::-1])
+                self._inverted = Encoding(steps)
             else:
-                self._inverted = Encoding(
-                    _read_through(self.steps[::-1], self.perm),
-                    _inverse(self.perm))
+                self._inverted = Encoding(_read_through(steps, self.perm),
+                                          _inverse(self.perm))
         return self._inverted
 
     def __add__(self, other: "Encoding") -> "Encoding":
         """self, then other."""
         return compose((self, other))
 
+    def annular_twist(self):
+        """(e, x, a, c) when this encoding is an annular twist core: the
+        one flip (e, a, x, c, x), then the swap of e and x, with a and c
+        outside {e, x}; else None."""
+        if (len(self.steps) != 1 or type(self.steps[0]) is not tuple
+                or self.perm is None):
+            return None
+        e, a, x, c, y = self.steps[0]
+        if y != x or x == e or {a, c} & {e, x}:
+            return None
+        swap = list(range(len(self.perm)))
+        swap[e], swap[x] = x, e
+        return (e, x, a, c) if self.perm == tuple(swap) else None
+
     def power(self, k: int) -> "Encoding":
         """self repeated k times (the inverse repeated -k times if k < 0).
 
-        Copy j runs after j renamings, so its flips are read through
-        perm^-j.  The copies repeat with the period p of perm (2 to 6
-        for the letter cores of the standard triangulations), so the
-        first p copies are built once and kept with perm^j for j < p;
-        the power is that cycle repeated and cut.  A power longer than
-        _SCRIPT_CAP flips raises ComputationError before anything is
-        built."""
+        The power of an annular twist core is one ``TwistRun``.  Any
+        other power is built copy by copy: copy j runs after j
+        renamings, so its steps are read through perm^-j.  The copies
+        repeat with the period p of perm (2 to 6 for the letter cores of
+        the standard triangulations), so the first p copies are built
+        once and kept with perm^j for j < p; the power is that cycle
+        repeated and cut.  A power longer than _SCRIPT_CAP steps raises
+        ComputationError before anything is built."""
         if k <= 0:
             return self.inverted().power(-k) if k else Encoding(())
+        if k == 1:
+            return self
+        twist = self.annular_twist()
+        if twist is not None:
+            return Encoding((TwistRun(twist + (k,)),))
         _check_length(k * len(self.steps))
         if self._cycle is None:
             shifts = [None]  # perm^j for j = 0, 1, ... below perm's period
@@ -160,9 +262,9 @@ class Encoding:
 
 
 def compose(encodings) -> Encoding:
-    """The encodings one after another, as one Encoding.  Each one's flips
+    """The encodings one after another, as one Encoding.  Each one's steps
     are read through the renamings of those before it, and the renamings
-    combine into one at the end.  A script longer than _SCRIPT_CAP flips
+    combine into one at the end.  A script longer than _SCRIPT_CAP steps
     raises ComputationError before anything is built."""
     encodings = tuple(encodings)
     _check_length(sum(len(enc.steps) for enc in encodings))

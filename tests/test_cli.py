@@ -287,14 +287,16 @@ class TestMain:
         assert main(["fdtc", "braid", str(path)]) == EXIT_OK
 
     def test_huge_power_exit(self, capsys):
-        # boundary letters are split off the word, never replayed, so a
-        # huge boundary power answers; a twist letter of that power would
-        # be a 10^9-flip script and is refused by the cap
+        # boundary letters are split off the word, never replayed, and a
+        # twist letter's power is one twist run, so huge powers of both
+        # answer; another component's boundary letter still replays flip
+        # by flip, and at that power its script is refused by the cap
         a, b = [0, 1, 0, 1, 1], [1, 0, 0, 1, 0]
         for word, want in [
             ([{"boundary": "S", "power": 10 ** 9}], "1000000000"),
             ([{"boundary": "S", "power": -10 ** 9}, {"curve": a},
               {"curve": b}], "-5999999999/6"),
+            ([{"curve": a, "power": 10 ** 9}, {"curve": b}], "1/2"),
         ]:
             problem = json.dumps({
                 "surface": {"genus": 1, "boundary": ["S"]},
@@ -304,12 +306,13 @@ class TestMain:
             out = json.loads(capsys.readouterr().out)
             assert out["results"][0]["value"] == want
         problem = json.dumps({
-            "surface": {"genus": 1, "boundary": ["S"]},
-            "words": {"w": [{"curve": a, "power": 10 ** 9}]},
+            "surface": {"genus": 1, "boundary": ["C1", "C2"]},
+            "words": {"w": [{"boundary": "C2", "power": 10 ** 9}]},
         })
-        assert main(["fdtc", "exact", problem]) == EXIT_COMPUTATION
+        assert main(["fdtc", "exact", problem, "--component", "C1"]) \
+            == EXIT_COMPUTATION
         err = capsys.readouterr().err
-        assert err == ("computation error: script of 1000000000 flips "
+        assert err == ("computation error: script of 2000000000 flips "
                        "exceeds the cap of 10000000\n")
 
     @pytest.mark.parametrize("written", ["1e5000", "1e999999999", "0.5"])

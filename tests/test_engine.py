@@ -563,11 +563,21 @@ def _random_words(tri, fixture):
 
 
 def _textbook_forward(enc, w):
-    """Replay flip by flip with the max formula, then rename."""
+    """Replay flip by flip with the max formula, a twist run (e, x, a, c,
+    k) as k copies of the flip (e, a, x, c, x) and the swap of e and x,
+    then rename."""
     w = list(w)
-    for e, a, b, c, d in enc.steps:
-        w[e] = max(w[a] + w[c], w[b] + w[d]) - w[e]
-        assert w[e] >= 0
+    for step in enc.steps:
+        e, a, b, c, d = step
+        copies = 1
+        if isinstance(step, engine.TwistRun):
+            e, b, a, c, copies = step
+            d = b
+        for _ in range(copies):
+            w[e] = max(w[a] + w[c], w[b] + w[d]) - w[e]
+            assert w[e] >= 0
+            if isinstance(step, engine.TwistRun):
+                w[e], w[b] = w[b], w[e]
     if enc.perm is None:
         return tuple(w)
     out = [None] * len(w)
@@ -578,16 +588,20 @@ def _textbook_forward(enc, w):
 
 def _fold(encodings):
     """(steps, perm) of the encodings one after another, as a left fold:
-    the script so far, then the next encoding's flips with each edge id
-    read through the inverse of the renaming so far.  The reference for
-    ``engine.compose`` and ``Encoding.power``."""
+    the script so far, then the next encoding's steps with each edge id
+    read through the inverse of the renaming so far (a twist run keeps
+    its count).  The reference for ``engine.compose`` and
+    ``Encoding.power``."""
     steps, perm = (), None
     for enc in encodings:
         if perm is None:
             steps += enc.steps
         else:
             inv = sorted(range(len(perm)), key=perm.__getitem__)
-            steps += tuple(tuple(inv[x] for x in f) for f in enc.steps)
+            steps += tuple(
+                engine.TwistRun(tuple(inv[x] for x in f[:4]) + f[4:])
+                if isinstance(f, engine.TwistRun) else
+                tuple(inv[x] for x in f) for f in enc.steps)
         if enc.perm is not None:
             perm = tuple(enc.perm[x] for x in perm) if perm else enc.perm
             if perm == tuple(range(len(perm))):
@@ -639,11 +653,21 @@ class TestReplayKernel:
         tri = request.getfixturevalue(fixture)
         for g in _generators(tri, fixture):
             MappingClassWord(tri, [g]).encoding()
+        probes = _probe_weights(tri)
         for conj, core, conj_inv in tri._cache["letters"].values():
             for k in range(1, 8):
-                pk, nk = core.power(k), core.power(-k)
-                assert (pk.steps, pk.perm) == _fold([core] * k)
-                assert (nk.steps, nk.perm) == _fold([core.inverted()] * k)
+                for enc, fold in ((core.power(k), _fold([core] * k)),
+                                  (core.power(-k),
+                                   _fold([core.inverted()] * k))):
+                    if k > 1 and core.annular_twist() is not None:
+                        # one twist run stands for the k copies
+                        assert len(enc.steps) == 1 and enc.perm is None
+                        assert isinstance(enc.steps[0], engine.TwistRun)
+                        ref = engine.Encoding(*fold)
+                        assert all(enc.forward(v) == ref.forward(v)
+                                   for v in map(conj.forward, probes))
+                    else:
+                        assert (enc.steps, enc.perm) == fold
 
     def test_negative_weight_raises(self, torus_tri):
         # a lone weight on the first flipped edge breaks the matching
@@ -682,8 +706,97 @@ class TestReplayKernel:
         assert calls == []
 
 
+def _copies(step, k, v):
+    """The weights after each of k replays of ``step``, one by one."""
+    out = []
+    for _ in range(k):
+        v = step.forward(v)
+        out.append(v)
+    return out
+
+
+class TestTwistRuns:
+    """The k-th power of an annular twist core is one twist run, replayed
+    in closed form.  It must act as the left fold of k cores, replayed
+    flip by flip, on vectors wound either way around the core's curve,
+    and raise the negative-weight error where that replay raises it."""
+
+    @staticmethod
+    def _twist_letters(tri, fixture):
+        for g in _generators(tri, fixture):
+            MappingClassWord(tri, [g]).encoding()
+        out = [(x, parts) for (kind, x), parts in tri._cache["letters"].items()
+               if kind == "twist" and parts[1].annular_twist() is not None]
+        assert out
+        return out
+
+    @pytest.mark.parametrize("fixture", WORD_SURFACES)
+    def test_matches_copy_by_copy_replay(self, fixture, request):
+        tri = request.getfixturevalue(fixture)
+        gens = _generators(tri, fixture)
+        starts = _probe_weights(tri) + list(WORD_SURFACES[fixture])
+        rng = random.Random(fixture)
+        for x, (conj, core, _) in self._twist_letters(tri, fixture):
+            e, f = core.annular_twist()[:2]
+            # images of probe arcs and curves under random words that twist
+            # along the core's own curve m times last, carried to its
+            # annular position
+            vectors = []
+            for m in (-40, -7, -1, 0, 3, 25):
+                word = MappingClassWord(tri, [Generator.twist(x, m)] + [
+                    Generator(g.kind, rng.randint(-2, 2), g.curve, g.label,
+                              g.index)
+                    for g in rng.sample(gens, min(2, len(gens)))])
+                vectors += [conj.forward(word.encoding().forward(w))
+                            for w in starts]
+            for sign, step, edge in ((1, core, e), (-1, core.inverted(), f)):
+                folds = [engine.Encoding(*_fold([step] * k))
+                         for k in range(1, 65)]
+                unwound = False
+                for v in vectors:
+                    for k, fold in enumerate(folds, 1):
+                        assert core.power(sign * k).forward(v) == \
+                            fold.forward(v)
+                    # t_n shrinks, bounces and grows again within 64 copies
+                    t = [v[edge]] + [w[edge] for w in _copies(step, 64, v)]
+                    unwound |= any(t[n + 1] < t[n] for n in range(64)) \
+                        and t[64] > t[63]
+                assert unwound
+
+    @pytest.mark.parametrize("fixture", WORD_SURFACES)
+    def test_negative_weight_raises(self, fixture, request):
+        tri = request.getfixturevalue(fixture)
+        rng = random.Random(fixture)
+        for _, (_, core, _) in self._twist_letters(tri, fixture):
+            e, f = core.annular_twist()[:2]
+            # t_0 = 2j, t_1 = j and S = 0 shrink to t_3 = -j at the
+            # second copy
+            v = [0] * tri.edge_count
+            v[e], v[f] = 10, 5
+            core.power(1).forward(v)
+            for k in (2, 3, 64, 10 ** 9):
+                with pytest.raises(ComputationError,
+                                   match="flip produced a negative weight"):
+                    core.power(k).forward(v)
+            # vectors that break the matching conditions raise exactly
+            # where the copy-by-copy replay raises
+            for _ in range(50):
+                v = [rng.randint(0, 9) for _ in range(tri.edge_count)]
+                for k in (*range(-10, 0), *range(1, 11)):
+                    step = core if k > 0 else core.inverted()
+                    try:
+                        want = _copies(step, abs(k), v)[-1]
+                    except ComputationError:
+                        with pytest.raises(
+                                ComputationError,
+                                match="flip produced a negative weight"):
+                            core.power(k).forward(v)
+                    else:
+                        assert core.power(k).forward(v) == want
+
+
 class TestScriptCap:
-    """Scripts longer than ``_SCRIPT_CAP`` flips are refused by name
+    """Scripts longer than ``_SCRIPT_CAP`` steps are refused by name
     before they are built."""
 
     def test_letter_power(self, monkeypatch):
@@ -698,12 +811,16 @@ class TestScriptCap:
             engine.boundary_twist_encoding(tri, "S", -10 ** 9)
 
     def test_word(self, monkeypatch):
+        # each letter fits under the cap, the word does not; a twist
+        # letter's power is one step at any power, so the long letters
+        # are boundary rotations
         tri = standard_triangulation(SurfaceSpec(1, ("S",)))
         monkeypatch.setattr(engine, "_SCRIPT_CAP", 50)
-        w = MappingClassWord(tri, [Generator.twist(TORUS_A, 30),
-                                   Generator.twist(TORUS_B, 30)])
-        n = len(engine.twist_encoding(tri, TORUS_A, 30).steps) + len(
-            engine.twist_encoding(tri, TORUS_B, 30).steps)
+        gens = [Generator.boundary("S", 8), Generator.twist(TORUS_A, 30),
+                Generator.boundary("S", -8)]
+        w = MappingClassWord(tri, gens)
+        n = sum(len(_letter_encoding(tri, g).steps) for g in gens)
+        assert max(len(_letter_encoding(tri, g).steps) for g in gens) <= 50
         with pytest.raises(ComputationError, match=(
                 "script of %d flips exceeds the cap of 50" % n)):
             w.encoding()
