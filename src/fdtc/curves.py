@@ -109,13 +109,14 @@ def is_matching(c: NormalCoordinates) -> bool:
 # decides whether that is an error.
 #
 # A strand spiralling around a boundary component repeats one collar loop
-# of passages, the periodic part of ``_boundary_wrap``.  The collar is an
-# annulus, so one lap moves the strand's entry position q by a constant,
-# q -> q + B, and the positions that complete a lap form a range [lo, hi);
-# one pass over the loop reads both off (``_lap_map``), and the number of
-# whole laps is one integer division.  ``_lockstep`` jumps over the whole
-# laps that both strands make together, counting the skipped passages
-# against its budget, so a spiral costs one pass instead of one per lap.
+# of passages: the one walk around the component (``_collar_walk``),
+# cancelled cyclically (``_collar_loop``).  The collar is an annulus, so
+# one lap moves the strand's entry position q by a constant, q -> q + B,
+# and the positions that complete a lap form a range [lo, hi); one pass
+# over the loop reads both off (``_lap_map``), and the number of whole
+# laps is one integer division.  ``_lockstep`` jumps over the whole laps
+# that both strands make together, counting the skipped passages against
+# its budget, so a spiral costs one pass instead of one per lap.
 
 _NEXT = (1, 2, 0)
 _PREV = (2, 0, 1)
@@ -242,26 +243,67 @@ def _lap_map(w, loop, q: int, cap: int):
     return min(laps, cap), c
 
 
+def _collar_walk(tri: Triangulation, label: str, direction: int, side: int):
+    """The walk just inside boundary component ``label`` from its boundary
+    side number ``side`` once round to that side.  It goes around the
+    component's boundary vertices in turn, crossing the interior edges
+    of each vertex's fan: the head vertex of each side for direction +1
+    (the boundary orientation), the tail vertex for -1.  Every edge
+    crossed twice in a row cancels: the third side of an ear, a triangle
+    with two boundary sides, which the walk would enter and leave again.
+    After each vertex it yields the sides (t, k) the walk has left its
+    triangles by so far, one list grown in place."""
+    cycle = tri.boundary_cycles[label]
+    gluing = _gluing(tri)
+    exits: list = []
+    for i in range(len(cycle)):
+        t, k = cycle[(side + direction * i) % len(cycle)]
+        corner = (t, (k + 1) % 3) if direction == 1 else (t, k)
+        spokes = tri.vertices[tri.vertex_of_corner[corner]]["corners"][:-1]
+        if direction == -1:  # crossed the other way, from the far side
+            spokes = [gluing[t2][k2][:2] for (t2, k2) in reversed(spokes)]
+        for x in spokes:
+            if exits and gluing[exits[-1][0]][exits[-1][1]][:2] == x:
+                exits.pop()
+            else:
+                exits.append(x)
+        yield exits
+
+
 def _collar_loop(tri: Triangulation, label: str, direction: int, edge: int):
-    """((t, k), loop, wrap): the collar loop of ``label`` run in
-    ``direction``, entered through side k of triangle t where the wrap
-    from boundary edge ``edge`` comes back to that edge, and the passages
-    of that wrap (``_boundary_wrap``), kept beside it.  Each passage of
-    the loop is (entry edge, k+1 edge, k+2 edge, whether it leaves by the
-    k+2 side, the exit edge when the gluing reverses positions there or
-    -1)."""
+    """((t, k), loop, wrap, lead): the collar loop of ``label`` run in
+    ``direction``, entered through side k of triangle t, and the wrap from
+    boundary edge ``edge``: the passages (t, k_in, k_out) of the walk
+    from that edge (``_collar_walk``) and back out through it.  The walk
+    is an approach to the loop, one lap of it and the way back, which
+    cancel cyclically; the loop is entered where the approach joins it,
+    and a strand spiralling around the collar follows the first ``lead``
+    passages of the wrap, the approach and one lap.  Each passage of the
+    loop is (entry edge, k+1 edge, k+2 edge, whether it leaves by the k+2
+    side, the exit edge when the gluing reverses positions there or -1);
+    on the bare disc the loop is empty."""
     key = ("collar_loop", label, direction, edge)
     if key not in tri._cache:
-        wrap, kin = _boundary_wrap(tri, label, direction, edge)
         gluing = _gluing(tri)
-        t0, _k0, k1 = wrap[0]
+        start = tri.incidences[edge][0]
+        *_, exits = _collar_walk(tri, label, direction,
+                                 tri.boundary_cycles[label].index(start))
+        # entries[i]: the side passage i enters its triangle by
+        entries = [start] + [gluing[t][k][:2] for (t, k) in exits]
+        n = len(exits)
+        r = 0  # the approach, crossed back at the end of the walk
+        while 2 * r + 1 < n and entries[n - r] == exits[r]:
+            r += 1
         loop = []
-        for t, k, k2 in [(t0, kin, k1)] + wrap[1:]:
+        for (t, k), (_t, k2) in zip([entries[n - r]] + entries[r + 1:n - r],
+                                    exits[r:n - r]):
             sides = tri.triangles[t]
-            flipped = gluing[t][k2][2]
             loop.append((sides[k][0], sides[_NEXT[k]][0], sides[_PREV[k]][0],
-                         k2 == _PREV[k], sides[k2][0] if flipped else -1))
-        tri._cache[key] = ((t0, kin), tuple(loop), tuple(wrap))
+                         k2 == _PREV[k],
+                         sides[k2][0] if gluing[t][k2][2] else -1))
+        wrap = tuple((t, k, k2) for (t, k), (_t, k2)
+                     in zip(entries, exits + [start]))
+        tri._cache[key] = (entries[n - r], tuple(loop), wrap, n - r)
     return tri._cache[key]
 
 
@@ -274,9 +316,9 @@ def _collar_entries(tri: Triangulation):
             for (t, k) in boundary:
                 for direction in (1, -1):
                     edge = tri.triangles[t][k][0]
-                    (t1, k1), loop, _wrap = _collar_loop(tri, label,
-                                                         direction, edge)
-                    if loop not in table[t1][k1]:
+                    (t1, k1), loop, _wrap, _lead = _collar_loop(
+                        tri, label, direction, edge)
+                    if loop and loop not in table[t1][k1]:
                         table[t1][k1] += (loop,)
         tri._cache["collar_entries"] = table
     return tri._cache["collar_entries"]
@@ -434,53 +476,24 @@ def compare_at_base(g1: ArcClass, g2: ArcClass, C: str) -> Ordering:
 # vertex links, boundary-parallel curves, essentiality
 
 
-def _spokes(tri: Triangulation, vid: int) -> list[int]:
-    """Interior edges crossed when walking around vertex vid just inside
-    its triangle fan, in fan order."""
-    v = tri.vertices[vid]
-    corners = v["corners"]
-    if v["boundary"]:
-        corners = corners[:-1]  # the last corner's own side is the outgoing
-        # boundary edge, which the walk does not cross
-    out = []
-    for (t, k) in corners:
-        e, _s = tri.triangles[t][k]
-        out.append(e)
-    return out
-
-
-def _fan_walk(walk: list, spokes):
-    """Continue ``walk`` across ``spokes``, cancelling an edge crossed
-    twice in a row: the third side of an ear, a triangle with two
-    boundary sides, which the walk would enter and leave again."""
-    for e in spokes:
-        if walk and walk[-1] == e:
-            walk.pop()
-        else:
-            walk.append(e)
-
-
 def puncture_link_curve(tri: Triangulation, vid: int) -> NormalCoordinates:
-    """The small circle around interior vertex vid."""
-    if tri.vertices[vid]["boundary"]:
+    """The small circle around interior vertex vid: it crosses the side
+    of every corner of the vertex's fan."""
+    v = tri.vertices[vid]
+    if v["boundary"]:
         raise CurveError("vertex %d is not interior" % vid)
-    return coords_from_crossings(tri, _spokes(tri, vid))
+    return coords_from_crossings(tri, [tri.triangles[t][k][0]
+                                       for (t, k) in v["corners"]])
 
 
 def boundary_parallel_curve(tri: Triangulation, label: str) -> NormalCoordinates:
-    """Closed curve parallel to boundary component ``label``."""
-    cycle = tri.boundary_cycles[label]
-    edges: list[int] = []
-    voc = tri.vertex_of_corner
-    for (t, k) in cycle:
-        # vertex at the head of this boundary side
-        _fan_walk(edges, _spokes(tri, voc[(t, (k + 1) % 3)]))
-    while len(edges) > 1 and edges[0] == edges[-1]:  # an ear at the start
-        edges = edges[1:-1]
-    coords = coords_from_crossings(tri, edges)
-    if not is_matching(coords):
-        raise ComputationError("boundary-parallel walk is not normal")
-    return coords
+    """Closed curve parallel to boundary component ``label``: the exit
+    edges of its collar loop (``_collar_loop``).  The loop has no spur
+    passage, so its weights meet the matching conditions."""
+    _entry, loop, _wrap, _lead = _collar_loop(tri, label, 1,
+                                              tri.base_edge_of[label])
+    return coords_from_crossings(tri, [e2 if left else e1 for
+                                       (_e0, e1, e2, left, _f) in loop])
 
 
 def _puncture_link_set(tri: Triangulation) -> set[tuple[int, ...]]:
@@ -509,22 +522,15 @@ def _inessential_arcs(tri: Triangulation, label: str) -> dict:
     if key in tri._cache:
         return tri._cache[key]
     cycle = tri.boundary_cycles[label]
-    m = len(cycle)
-    voc = tri.vertex_of_corner
     found: dict = {}
-    # forward: cross the fans of the heads of sides 0, 1, ...; backward:
-    # the fans of the tails of sides 0, -1, ..., each walk ending on the
-    # boundary side after its last fan
-    for sign in (1, -1):
-        walk: list[int] = []
-        for step in range(m):
-            t, k = cycle[sign * step % m]
-            if sign == 1:
-                _fan_walk(walk, _spokes(tri, voc[(t, (k + 1) % 3)]))
-            else:
-                _fan_walk(walk, reversed(_spokes(tri, voc[(t, k)])))
-            t2, k2 = cycle[sign * (step + 1) % m]
-            arc = arc_from_walk(tri, label, walk + [tri.triangles[t2][k2][0]])
+    # the walk from the base edge (``_collar_walk``), which starts the
+    # cycle, each way round: each prefix that ends after a vertex, closed
+    # by the boundary side after that vertex
+    for direction in (1, -1):
+        for i, exits in enumerate(_collar_walk(tri, label, direction, 0), 1):
+            walk = [tri.triangles[t][k][0]
+                    for (t, k) in exits + [cycle[direction * i % len(cycle)]]]
+            arc = arc_from_walk(tri, label, walk)
             if arc is not None:
                 found.setdefault((arc.coords.weights, arc.start), arc)
     tri._cache[key] = found
@@ -697,8 +703,10 @@ def _overlay_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
 # Lemma replays the compiled boundary letter.  It stays as the tests'
 # independent construction of T_C, against which every boundary letter
 # is checked, and because ``bench/tracer.py`` wraps ``boundary_drag`` by
-# name.  ``_boundary_wrap`` and ``collar_laps`` serve the Key Lemma
-# search.
+# name.  Its wrap is the collar walk's (``_collar_loop``): the approach
+# from the edge, one lap of the collar loop and the way back, with no
+# stepping rule of its own.  ``collar_laps`` reads the same walk for the
+# Key Lemma search.
 
 
 def reduce_passages(tri: Triangulation, passages):
@@ -736,65 +744,33 @@ def _check_direction(direction: int):
                          % (direction,))
 
 
-def _boundary_wrap(tri: Triangulation, label: str, direction: int,
-                   start_edge: int = None):
-    """Passages of one collar-hugging loop just inside boundary component
-    ``label``, leaving ``start_edge`` (the base edge by default) and
-    stopping just before it would cross that edge again.  direction +1
-    rounds the head vertex of each entry side (travel along the boundary
-    orientation), -1 the tail vertex.  Returns (passages, final entry
-    side in the start edge's triangle)."""
-    eps = tri.base_edge_of[label] if start_edge is None else start_edge
-    (t0, k0) = tri.incidences[eps][0]
-    prefer = 1 if direction == 1 else 2
-    other = 3 - prefer
-    passages = []
-    t, kin = t0, k0
-    guard = 6 * len(tri.triangles) + 4
-    while guard > 0:
-        guard -= 1
-        kout = (kin + prefer) % 3
-        e = tri.triangles[t][kout][0]
-        if tri.is_boundary_edge(e) and e != eps:
-            kout = (kin + other) % 3
-            e = tri.triangles[t][kout][0]
-        if tri.is_boundary_edge(e) and e != eps and passages:
-            # an ear, two boundary sides: back out of it, and leave the
-            # triangle before by its remaining side
-            t, kin, kout = passages.pop()
-            kout = 3 - kin - kout
-            e = tri.triangles[t][kout][0]
-        if tri.is_boundary_edge(e) and e != eps:
-            raise ComputationError("collar wrap trapped in a corner triangle")
-        if e == eps:
-            return passages, kin
-        passages.append((t, kin, kout))
-        t, kin = tri.other_incidence(e, t, kout)
-    raise ComputationError("collar wrap did not close up")
-
-
 def collar_laps(g: ArcClass, direction: int) -> int:
     """Whole laps the arc's strand makes around the collar of its start
-    component, in the sense of ``direction`` (as in ``_boundary_wrap``),
-    before it first leaves the collar.  The first lap is the wrap from
-    the base edge, walked passage by passage; every later lap repeats the
-    collar loop, and the lap map of that loop (``_lap_map``) counts them
-    in one pass, however many there are."""
+    component, in the sense of ``direction`` (as in ``_collar_walk``),
+    before it first leaves the collar.  The first lap is the collar walk
+    from the base edge up to the end of its lap of the collar loop
+    (``_collar_loop``), walked passage by passage: the approach, empty
+    unless ears around the base edge hang off the rest of the surface by
+    one edge, which the walk crosses out and back, and one lap.  Every
+    later lap repeats the loop, and the lap map of that loop
+    (``_lap_map``) counts them in one pass, however many there are.  The
+    bare disc has no collar loop, and no laps."""
     _check_direction(direction)
     tri = g.tri
     label = g.start[0]
-    (t0, kin), loop, wrap = _collar_loop(tri, label, direction,
-                                         tri.base_edge_of[label])
-    k0 = wrap[0][1]
+    (t1, k1), loop, wrap, lead = _collar_loop(tri, label, direction,
+                                              tri.base_edge_of[label])
+    if not loop:
+        return 0
+    t0, k0, _k = wrap[0]
     c = g.coords
     budget = c.total_weight + 1
     first = list(_walk(c, t0, k0, _position(c, t0, k0, g.start[1]),
-                       min(budget, len(wrap))))
-    if [p[2] for p in first] != [k_out for (_t, _k, k_out) in wrap]:
+                       min(budget, lead)))
+    if [p[2] for p in first] != [k_out for (_t, _k, k_out) in wrap[:lead]]:
         return 0
-    q = _position(c, t0, kin, first[-1][4])
-    laps, _shift = _lap_map(c.weights, loop, q,
-                            (budget - len(loop)) // len(loop))
+    q = _position(c, t1, k1, first[-1][4])
+    laps, _shift = _lap_map(c.weights, loop, q, (budget - lead) // len(loop))
     return 1 + laps
 
 
@@ -827,30 +803,26 @@ def boundary_drag(g: ArcClass, label: str, direction: int) -> ArcClass:
         raise CurveError("cannot drag a boundary-parallel sliver arc")
     seq: list = []
     if drag_s:
-        eps = tri.base_edge_of[g.start[0]]
-        (t0, k0) = tri.incidences[eps][0]
-        first = orig[0]
-        if first[0] != t0 or first[1] != k0:
-            raise ComputationError("arc does not start on the base edge")
-        wrap, kin_final = _boundary_wrap(tri, label, direction)
-        seq.extend(wrap)
-        seq.append((t0, kin_final, first[2]))
+        # the wrap ends by leaving through the base edge, where the arc
+        # starts: the arc leaves from the wrap's last entry instead
+        _entry, _loop, wrap, _lead = _collar_loop(tri, label, direction,
+                                                  tri.base_edge_of[label])
+        (t0, kin, _k0) = wrap[-1]
+        seq.extend(wrap[:-1])
+        seq.append((t0, kin, orig[0][2]))
         body_start = 1
     else:
         body_start = 0
     body_end = len(orig) - 1 if drag_e else len(orig)
     seq.extend(orig[body_start:body_end])
     if drag_e:
-        last = orig[-1]
-        e_end = tri.triangles[last[0]][last[2]][0]
-        (t1, k1) = tri.incidences[e_end][0]
-        if (t1, k1) != (last[0], last[2]):
-            raise ComputationError("arc does not end on a boundary edge")
+        (t1, k1, k_end) = orig[-1]
         # the appended end trajectory runs through the collar opposite to
         # the prepended start one, so splice the end edge's wrap reversed
-        wrap_e, kin_e = _boundary_wrap(tri, label, direction, e_end)
-        seq.append((t1, last[1], kin_e))
-        seq.extend((t, ko, ki) for (t, ki, ko) in reversed(wrap_e))
+        _entry, _loop, wrap_e, _lead = _collar_loop(
+            tri, label, direction, tri.triangles[t1][k_end][0])
+        seq.append((t1, k1, wrap_e[-1][1]))
+        seq.extend((t, ko, ki) for (t, ki, ko) in reversed(wrap_e[:-1]))
     reduced = reduce_passages(tri, seq)
     start_label = g.start[0]
     return _arc_from_passages(tri, start_label, reduced)

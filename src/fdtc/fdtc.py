@@ -28,9 +28,10 @@ the same, so T_C^m(gamma) = D + (|m| - j) k c_C with D the j-th power,
 k the number of endpoints on C and c_C the boundary-parallel curve.  The
 search for M compares at m = 0 for the sign of M, reads a guess for |M|
 off the collar laps that rest^N(gamma) makes before leaving the collar
-(``curves.collar_laps``), and brackets M by a gallop from the guess and
-a bisection: about three comparisons per interval.  rest^N(gamma)
-resumes from the furthest point of the orbit of gamma that rest keeps
+(``curves.collar_laps``), less the lap that T_C^(+-1)(gamma) may already
+make, and brackets M by a gallop from the guess and a bisection: about
+three comparisons per interval.  rest^N(gamma) resumes from the furthest
+point of the orbit of gamma that rest keeps
 (``MappingClassWord.orbit_arc``): a sweep to N_max applies rest N_max
 times.
 
@@ -132,13 +133,16 @@ class FDTCResult(Record):
 
 
 def _drag_chain(gamma: curves.ArcClass, C: str, sign: int):
-    """(chain, lap): chain[j] is the weights of T_C^(sign*j)(gamma), the
-    compiled boundary letter replayed j times, continued until one
+    """(chain, lap, offset): chain[j] is the weights of T_C^(sign*j)(gamma),
+    the compiled boundary letter replayed j times, continued until one
     application adds exactly ``lap`` = k copies of the boundary-parallel
     curve, k being the number of endpoints of gamma on C.  From there on
     every application adds one whole lap per endpoint with nothing to
     cancel, so the powers are affine.  For a probe arc that does not
-    itself wind around C the chain is (gamma, D, D + lap)."""
+    itself wind around C the chain is (gamma, D, D + lap).  ``offset`` is
+    the number of whole collar laps of T_C^sign(gamma), 0 or 1 by where
+    gamma leaves the collar (``curves.collar_laps``): T_C^(sign*j)(gamma)
+    winds j - 1 + offset laps for j >= 1."""
     tri = gamma.tri
     key = ("drag_chain", C, sign, gamma.coords.weights, gamma.start)
     if key not in tri._cache:
@@ -155,7 +159,10 @@ def _drag_chain(gamma: curves.ArcClass, C: str, sign: int):
         else:
             raise ComputationError("twists of the probe arc did not settle "
                                    "into whole laps")
-        tri._cache[key] = (tuple(chain), lap)
+        once = curves.ArcClass(curves.NormalCoordinates(tri, chain[1]),
+                               gamma.start)
+        offset = curves.collar_laps(once, sign * POSITIVE_DRAG_DIRECTION)
+        tri._cache[key] = (tuple(chain), lap, offset)
     return tri._cache[key]
 
 
@@ -166,7 +173,7 @@ def _boundary_power_arc(gamma: curves.ArcClass, C: str,
     the boundary pointwise, so the start slot is gamma's."""
     if m == 0:
         return gamma
-    chain, lap = _drag_chain(gamma, C, 1 if m > 0 else -1)
+    chain, lap, _offset = _drag_chain(gamma, C, 1 if m > 0 else -1)
     extra = abs(m) - len(chain) + 1
     weights = chain[abs(m)] if extra <= 0 else \
         [a + extra * b for a, b in zip(chain[-1], lap)]
@@ -228,13 +235,15 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
                     "Key Lemma search range too small (low end)")
             hi = m
         if not guessed:
-            # m = 0 gave the sign of M; w^N(gamma) winds M - 1 or M laps
-            # when M >= 0, and -M - 1 or -M laps when M < 0: guess the
-            # larger candidate
-            direction = POSITIVE_DRAG_DIRECTION if went_up \
-                else -POSITIVE_DRAG_DIRECTION
-            laps = curves.collar_laps(phi_arc, direction)
-            m = laps + 1 if went_up else -laps
+            # m = 0 gave the sign s of M.  T_C^(s j)(gamma) winds
+            # j - 1 + offset laps (``_drag_chain``), so w^N(gamma) winds
+            # M - 1 + offset or M + offset laps when M >= 0, and
+            # -M - 2 + offset or -M - 1 + offset laps when M < 0: guess
+            # the larger candidate
+            sign = 1 if went_up else -1
+            offset = _drag_chain(gamma, C, sign)[2]
+            laps = curves.collar_laps(phi_arc, sign * POSITIVE_DRAG_DIRECTION)
+            m = sign * (laps + 1 - offset)
             guessed = galloping = True
         elif galloping and up in (None, went_up):
             # gallop away from the guess until the relation turns

@@ -1,5 +1,5 @@
 import random
-from itertools import cycle
+from itertools import chain, cycle
 from unittest import mock
 
 import pytest
@@ -9,6 +9,7 @@ from fdtc.errors import ComputationError, CurveError
 from fdtc import curves, engine
 from fdtc.fdtc import _boundary_power_arc, _first_probe_arc
 from fdtc.mcg import Generator, MappingClassWord
+from fdtc.surface import SurfaceSpec, standard_triangulation
 from fdtc.curves import (
     ArcClass,
     NormalCoordinates,
@@ -246,6 +247,17 @@ class TestCollarLaps:
             with pytest.raises(CurveError, match="not %d" % direction):
                 boundary_drag(gamma, "S", direction)
 
+    def test_bare_disc_has_no_collar_loop(self):
+        # the walk around the one triangle crosses no edge, so the collar
+        # loop is empty and no arc winds around the collar
+        tri = standard_triangulation(SurfaceSpec(0, ("C",)))
+        assert boundary_parallel_curve(tri, "C").weights == (0, 0, 0)
+        for weights in ((1, 1, 0), (1, 0, 1)):
+            g = ArcClass(NormalCoordinates(tri, weights), ("C", 0))
+            assert compare_at_base(g, g, "C") is Ordering.EQUAL
+            for direction in (1, -1):
+                assert collar_laps(g, direction) == 0
+
     @pytest.mark.parametrize("fixture,C", WALKER_CASES)
     def test_one_lap_per_drag(self, fixture, C, request):
         tri = request.getfixturevalue(fixture)
@@ -348,20 +360,24 @@ def _plain_compare(g1, g2, C):
 
 
 def _plain_laps(g, direction):
-    """Passages of the strand that repeat the exit sides of the wrap from
-    the base edge, in whole laps."""
+    """Passages of the strand that follow the collar walk from the base
+    edge to the collar loop and then repeat the loop's exit sides, in
+    whole laps."""
     tri = g.tri
-    wrap, _kin = curves._boundary_wrap(tri, g.start[0], direction)
+    _entry, loop, wrap, lead = curves._collar_loop(
+        tri, g.start[0], direction, tri.base_edge_of[g.start[0]])
+    approach = [k_out for (_t, _k, k_out) in wrap[:lead - len(loop)]]
+    lap = [k_out for (_t, _k, k_out) in wrap[lead - len(loop):lead]]
     t0, k0, _k1 = wrap[0]
     c = g.coords
     q = curves._position(c, t0, k0, g.start[1])
     n = 0
     for p, k_out in zip(curves._walk(c, t0, k0, q, c.total_weight + 1),
-                        cycle([k_out for (_t, _k, k_out) in wrap])):
+                        chain(approach, cycle(lap))):
         if p[2] != k_out:
             break
         n += 1
-    return n // len(wrap)
+    return max(n - len(approach), 0) // len(lap)
 
 
 def _start(g1, g2):
@@ -483,4 +499,5 @@ class TestLapSkipping:
         few = passages(10)
         assert few == passages(10 ** 6)
         assert few < _plain_laps(_boundary_power_arc(gamma, "S", 10), 1) * \
-            len(curves._boundary_wrap(torus_tri, "S", 1)[0])
+            len(curves._collar_loop(torus_tri, "S", 1,
+                                    torus_tri.base_edge_of["S"])[1])
