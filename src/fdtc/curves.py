@@ -26,11 +26,9 @@ import enum
 from .errors import CurveError, ComputationError
 from .surface import Record, Triangulation, checked_type
 
-# overlays materialize individual strands; refuse above this many slots
+# ``trace_components`` materializes individual strands; it refuses
+# coordinates with more crossings than this
 OVERLAY_LIMIT = 200_000
-# an overlay runs one lockstep per pair of crossings sharing an edge, a
-# few microseconds each; above this many pairs it is not attempted
-OVERLAY_PAIR_LIMIT = 50_000
 
 
 class Ordering(enum.Enum):
@@ -72,6 +70,12 @@ class NormalCoordinates:
     @property
     def total_weight(self) -> int:
         return sum(self.weights)
+
+    def ends_on(self, label: str) -> int:
+        """The number of strand ends on boundary component ``label``: the
+        weight there, since only an end crosses a boundary edge."""
+        return sum(self.weights[e] for e, lab
+                   in self.tri.boundary_label_of_edge.items() if lab == label)
 
 
 def is_matching(c: NormalCoordinates) -> bool:
@@ -243,16 +247,29 @@ def _lap_map(w, loop, q: int, cap: int):
     return min(laps, cap), c
 
 
+def _cancel(gluing, exits: list, sides) -> list:
+    """Extend ``exits``, the sides (t, k) a walk has left its triangles
+    by, with ``sides``; every edge crossed twice in a row cancels: a walk
+    that leaves a triangle by the side it entered by crosses that edge
+    straight back."""
+    for x in sides:
+        if exits and gluing[exits[-1][0]][exits[-1][1]][:2] == x:
+            exits.pop()
+        else:
+            exits.append(x)
+    return exits
+
+
 def _collar_walk(tri: Triangulation, label: str, direction: int, side: int):
     """The walk just inside boundary component ``label`` from its boundary
     side number ``side`` once round to that side.  It goes around the
     component's boundary vertices in turn, crossing the interior edges
     of each vertex's fan: the head vertex of each side for direction +1
     (the boundary orientation), the tail vertex for -1.  Every edge
-    crossed twice in a row cancels: the third side of an ear, a triangle
-    with two boundary sides, which the walk would enter and leave again.
-    After each vertex it yields the sides (t, k) the walk has left its
-    triangles by so far, one list grown in place."""
+    crossed twice in a row cancels (``_cancel``): the third side of an
+    ear, a triangle with two boundary sides, which the walk would enter
+    and leave again.  After each vertex it yields the sides (t, k) the
+    walk has left its triangles by so far, one list grown in place."""
     cycle = tri.boundary_cycles[label]
     gluing = _gluing(tri)
     exits: list = []
@@ -262,26 +279,21 @@ def _collar_walk(tri: Triangulation, label: str, direction: int, side: int):
         spokes = tri.vertices[tri.vertex_of_corner[corner]]["corners"][:-1]
         if direction == -1:  # crossed the other way, from the far side
             spokes = [gluing[t2][k2][:2] for (t2, k2) in reversed(spokes)]
-        for x in spokes:
-            if exits and gluing[exits[-1][0]][exits[-1][1]][:2] == x:
-                exits.pop()
-            else:
-                exits.append(x)
-        yield exits
+        yield _cancel(gluing, exits, spokes)
 
 
 def _collar_loop(tri: Triangulation, label: str, direction: int, edge: int):
-    """((t, k), loop, wrap, lead): the collar loop of ``label`` run in
-    ``direction``, entered through side k of triangle t, and the wrap from
-    boundary edge ``edge``: the passages (t, k_in, k_out) of the walk
-    from that edge (``_collar_walk``) and back out through it.  The walk
-    is an approach to the loop, one lap of it and the way back, which
-    cancel cyclically; the loop is entered where the approach joins it,
-    and a strand spiralling around the collar follows the first ``lead``
-    passages of the wrap, the approach and one lap.  Each passage of the
-    loop is (entry edge, k+1 edge, k+2 edge, whether it leaves by the k+2
-    side, the exit edge when the gluing reverses positions there or -1);
-    on the bare disc the loop is empty."""
+    """((t, k), loop, lead): the collar loop of ``label`` run in
+    ``direction``, entered through side k of triangle t, and the exit
+    sides k_out of the passages that a strand spiralling around the
+    collar from boundary edge ``edge`` makes first.  The walk from that
+    edge (``_collar_walk``) and back out through it is an approach to the
+    loop, one lap of it and the way back, which cancel cyclically; the
+    loop is entered where the approach joins it, and ``lead`` is the
+    approach and one lap.  Each passage of the loop is (entry edge, k+1
+    edge, k+2 edge, whether it leaves by the k+2 side, the exit edge when
+    the gluing reverses positions there or -1); on the bare disc the loop
+    is empty."""
     key = ("collar_loop", label, direction, edge)
     if key not in tri._cache:
         gluing = _gluing(tri)
@@ -301,9 +313,8 @@ def _collar_loop(tri: Triangulation, label: str, direction: int, edge: int):
             loop.append((sides[k][0], sides[_NEXT[k]][0], sides[_PREV[k]][0],
                          k2 == _PREV[k],
                          sides[k2][0] if gluing[t][k2][2] else -1))
-        wrap = tuple((t, k, k2) for (t, k), (_t, k2)
-                     in zip(entries, exits + [start]))
-        tri._cache[key] = (entries[n - r], tuple(loop), wrap, n - r)
+        tri._cache[key] = (entries[n - r], tuple(loop),
+                           tuple(k2 for (_t, k2) in exits[:n - r]))
     return tri._cache[key]
 
 
@@ -316,7 +327,7 @@ def _collar_entries(tri: Triangulation):
             for (t, k) in boundary:
                 for direction in (1, -1):
                     edge = tri.triangles[t][k][0]
-                    (t1, k1), loop, _wrap, _lead = _collar_loop(
+                    (t1, k1), loop, _lead = _collar_loop(
                         tri, label, direction, edge)
                     if loop and loop not in table[t1][k1]:
                         table[t1][k1] += (loop,)
@@ -404,13 +415,6 @@ class ArcClass(Record):
         return trace_strand(self.coords, self.tri.base_edge_of[self.start[0]],
                             self.start[1])
 
-    def ends_on(self, label: str) -> int:
-        """The number of the arc's ends on boundary component ``label``:
-        its weight there, since only an end crosses a boundary edge."""
-        w = self.coords.weights
-        return sum(w[e] for e, lab in self.tri.boundary_label_of_edge.items()
-                   if lab == label)
-
 
 def arc_from_walk(tri: Triangulation, label: str, walk_edges) -> ArcClass | None:
     """Build the arc class whose taut representative crosses, from the
@@ -490,8 +494,8 @@ def boundary_parallel_curve(tri: Triangulation, label: str) -> NormalCoordinates
     """Closed curve parallel to boundary component ``label``: the exit
     edges of its collar loop (``_collar_loop``).  The loop has no spur
     passage, so its weights meet the matching conditions."""
-    _entry, loop, _wrap, _lead = _collar_loop(tri, label, 1,
-                                              tri.base_edge_of[label])
+    _entry, loop, _lead = _collar_loop(tri, label, 1,
+                                       tri.base_edge_of[label])
     return coords_from_crossings(tri, [e2 if left else e1 for
                                        (_e0, e1, e2, left, _f) in loop])
 
@@ -585,49 +589,17 @@ def enumerate_arcs(tri: Triangulation, C: str, weight_bound: int) -> list[ArcCla
 
 def geometric_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
     """Minimal geometric intersection number i(a, b); exact and
-    symmetric.  Pairs with at most OVERLAY_PAIR_LIMIT pairs of crossings
-    on shared interior edges are overlaid strand by strand; above that
-    the lighter side must decompose into closed non-puncture-parallel
-    curves, whose intersection with the other side is the rate at which
-    twists along them grow it."""
-    if a.tri is not b.tri:
-        raise CurveError("coordinates live on different triangulations")
-    if a.weights == b.weights:
-        return 0
-    tri = a.tri
-    pairs = sum(x * y for e, (x, y) in enumerate(zip(a.weights, b.weights))
-                if len(tri.incidences[e]) == 2)
-    if pairs <= OVERLAY_PAIR_LIMIT:
-        return _overlay_intersection(a, b)
-    over = "%d crossing pairs exceed the overlay cap of %d" % (
-        pairs, OVERLAY_PAIR_LIMIT)
-    small, big = (a, b) if a.total_weight <= b.total_weight else (b, a)
-    if small.total_weight > OVERLAY_LIMIT:
-        raise ComputationError("%s, and neither side can be decomposed" % over)
-    total = 0
-    for comp in trace_components(small):
-        if comp["type"] != "closed":
-            raise ComputationError(
-                "%s, and the twist route needs a closed-curve side" % over
-            )
-        cw = coords_from_crossings(small.tri, comp["edges"])
-        if is_puncture_parallel(cw):
-            raise ComputationError(
-                "%s, and the twist route is unavailable for puncture links"
-                % over
-            )
-        total += _twist_growth_intersection(big, cw)
-    return total
-
-
-def _twist_growth_intersection(x: NormalCoordinates, c: NormalCoordinates) -> int:
-    """i(x, c) for a closed essential curve c, as the rate at which twists
-    along c grow x.
+    symmetric.  One side must be closed: it has no boundary weight, so
+    no arc ends (the lighter side if both qualify).  It decomposes into
+    closed curves (``trace_components``).  A puncture-parallel curve
+    bounds a once-punctured disc and meets nothing.  Any other curve c
+    meets the other side x as often as each twist along c grows x, since
+    i(T_c^k(x), x) = |k| i(x, c)^2.
 
     Carried to c's annular position, where c crosses the edges e and f
     once each, the twist is the core of a twist run (``engine.TwistRun``):
     each twist changes only t_0 = w[e] and t_1 = w[f].  After at most two
-    twists the run is affine (2 t_1 >= w[a] + w[b]).  A growing affine
+    twists the run is affine (2 t_1 >= w[p] + w[q]).  A growing affine
     stretch then adds d = t_1 - t_0 = i(x, c) copies of c per twist for
     good, and a shrinking one bounces into a growing one of difference
     -d, so i(x, c) = |t_1 - t_0|.  A curve around a one-edge boundary
@@ -635,107 +607,54 @@ def _twist_growth_intersection(x: NormalCoordinates, c: NormalCoordinates) -> in
     that component."""
     from .engine import letter_parts
 
-    tri = c.tri
-    for lab, cycle in tri.boundary_cycles.items():
-        if len(cycle) == 1 and c.weights == boundary_parallel_curve(tri, lab).weights:
-            return sum(x.weights[e] for e, side in
-                       tri.boundary_label_of_edge.items() if side == lab)
-    conj, core, _ = letter_parts(tri, "twist", c.weights, 1)
-    e, f, a, b = core.annular_twist()
-    w = conj.forward(x.weights)
-    while 2 * w[f] < w[a] + w[b]:
-        w = core.forward(w)
-    return abs(w[f] - w[e])
-
-
-def _overlay_intersection(a: NormalCoordinates, b: NormalCoordinates) -> int:
-    """Crossing count of the taut joint realization of a and b.
-
-    Wherever an a-strand and a b-strand run through a common edge they
-    share a maximal parallel run; the run forces exactly one crossing
-    when the divergences at its two ends pin the strands to opposite
-    sides of each other, and none otherwise (a free end on the boundary
-    pins nothing, so runs through boundary edges are skipped).  Every
-    conflicting run is seen exactly twice - once from each end, where the
-    divergence is immediate - so conflicts are counted at
-    immediate-divergence events and halved."""
+    if a.tri is not b.tri:
+        raise CurveError("coordinates live on different triangulations")
     tri = a.tri
-    cap = a.total_weight + b.total_weight + 2
-    conflicts = 0
-    for e in range(tri.edge_count):
-        incs = tri.incidences[e]
-        if len(incs) == 1 or a.weights[e] == 0 or b.weights[e] == 0:
+    closed = [y for y in (a, b)
+              if not any(y.weights[e] for e in tri.boundary_label_of_edge)]
+    if not closed:
+        raise CurveError("intersection numbers need a closed side; "
+                         "both sides carry arc ends")
+    side = min(closed, key=lambda y: y.total_weight)
+    x = b if side is a else a
+    one_edge = {boundary_parallel_curve(tri, lab).weights: lab
+                for lab, cycle in tri.boundary_cycles.items()
+                if len(cycle) == 1}
+    total = 0
+    for comp in trace_components(side):
+        c = coords_from_crossings(tri, comp["edges"])
+        if is_puncture_parallel(c):
             continue
-        for i in range(a.weights[e]):
-            for j in range(b.weights[e]):
-                for idx, (t, k) in enumerate(incs):
-                    sign = tri.triangles[t][k][1]
-                    d_here = _lockstep(a, b, t, k, _position(a, t, k, i),
-                                       _position(b, t, k, j), 1)
-                    if not d_here:
-                        continue  # not an end of the run on this side
-                    # the far end: +1/-1 at a divergence, 0 when the run
-                    # ends on the boundary or never ends (closed isotopic
-                    # strands)
-                    t2, k2 = incs[1 - idx]
-                    sign2 = tri.triangles[t2][k2][1]
-                    d_there = _lockstep(a, b, t2, k2, _position(a, t2, k2, i),
-                                        _position(b, t2, k2, j), cap) or 0
-                    if d_here * sign * d_there * sign2 == -1:
-                        conflicts += 1
-    if conflicts % 2 != 0:
-        raise ComputationError("inconsistent overlay crossing parity")
-    return conflicts // 2
+        if c.weights in one_edge:
+            total += x.ends_on(one_edge[c.weights])
+        else:
+            conj, core, _ = letter_parts(tri, "twist", c.weights, 1)
+            e, f, p, q = core.annular_twist()
+            w = conj.forward(x.weights)
+            while 2 * w[f] < w[p] + w[q]:
+                w = core.forward(w)
+            total += abs(w[f] - w[e])
+    return total
 
 
 # ---------------------------------------------------------------------------
 # walk surgery: boundary dragging
 #
-# A desk-scale arc can be handled as its sequence of triangle passages
-# (t, side in, side out).  Dragging an endpoint once around its boundary
-# component (the effect of a boundary twist on that end) splices a
-# collar-hugging wrap into the passage sequence; spur passages entering
-# and leaving through the same side are then cancelled in a stack pass,
-# which restores normality.
+# A desk-scale arc can be handled as the sides (t, k) its strand leaves
+# its triangles by.  Dragging an endpoint once around its boundary
+# component (the effect of a boundary twist on that end) splices the
+# collar walk (``_collar_walk``) into that list: the walk from the base
+# edge before the arc's own sides, and the walk from the far end's edge,
+# reversed, before its last one.  Every edge then crossed straight back
+# cancels, by the collar walk's own rule (``_cancel``), which restores
+# normality.
 #
-# The drag (``boundary_drag`` with ``ArcClass.passages``, ``reduce_passages``
-# and ``_arc_from_passages``) is not on any computation path: the Key
-# Lemma replays the compiled boundary letter.  It stays as the tests'
-# independent construction of T_C, against which every boundary letter
-# is checked, and because ``bench/tracer.py`` wraps ``boundary_drag`` by
-# name.  Its wrap is the collar walk's (``_collar_loop``): the approach
-# from the edge, one lap of the collar loop and the way back, with no
-# stepping rule of its own.  ``collar_laps`` reads the same walk for the
-# Key Lemma search.
-
-
-def reduce_passages(tri: Triangulation, passages):
-    """Cancel spur passages (k_in == k_out).  Removing a spur merges its
-    two neighbours, which sit in one triangle on the near side of the
-    doubled edge; cascades are handled by re-checking the merged result."""
-    out: list = []
-    pending = None  # passage awaiting its post-spur continuation
-    for p in passages:
-        while True:
-            if pending is not None:
-                prev = pending
-                pending = None
-                if p[0] != prev[0] or p[1] != prev[2]:
-                    raise ComputationError("spur continuation mismatch")
-                p = (prev[0], prev[1], p[2])
-            if p[1] == p[2]:
-                if not out:
-                    raise ComputationError("walk retracts into the boundary")
-                prevp = out.pop()
-                if tri.triangles[prevp[0]][prevp[2]][0] != tri.triangles[p[0]][p[1]][0]:
-                    raise ComputationError("spur does not match its neighbour")
-                pending = prevp
-                break
-            out.append(p)
-            break
-    if pending is not None:
-        raise ComputationError("walk ends in an unresolved spur")
-    return out
+# The drag is not on any computation path: the Key Lemma replays the
+# compiled boundary letter.  It stays as the tests' independent
+# construction of T_C, against which every boundary letter is checked,
+# and because ``bench/tracer.py`` wraps ``boundary_drag`` by name.
+# ``collar_laps`` reads the same walk, through its collar loop
+# (``_collar_loop``), for the Key Lemma search.
 
 
 def _check_direction(direction: int):
@@ -758,28 +677,21 @@ def collar_laps(g: ArcClass, direction: int) -> int:
     _check_direction(direction)
     tri = g.tri
     label = g.start[0]
-    (t1, k1), loop, wrap, lead = _collar_loop(tri, label, direction,
-                                              tri.base_edge_of[label])
+    eps = tri.base_edge_of[label]
+    (t1, k1), loop, lead = _collar_loop(tri, label, direction, eps)
     if not loop:
         return 0
-    t0, k0, _k = wrap[0]
+    (t0, k0) = tri.incidences[eps][0]
     c = g.coords
     budget = c.total_weight + 1
     first = list(_walk(c, t0, k0, _position(c, t0, k0, g.start[1]),
-                       min(budget, lead)))
-    if [p[2] for p in first] != [k_out for (_t, _k, k_out) in wrap[:lead]]:
+                       min(budget, len(lead))))
+    if tuple(p[2] for p in first) != lead:
         return 0
     q = _position(c, t1, k1, first[-1][4])
-    laps, _shift = _lap_map(c.weights, loop, q, (budget - lead) // len(loop))
+    laps, _shift = _lap_map(c.weights, loop, q,
+                            (budget - len(lead)) // len(loop))
     return 1 + laps
-
-
-def _arc_from_passages(tri: Triangulation, label: str, passages) -> ArcClass:
-    walk = [tri.triangles[t][kout][0] for (t, _kin, kout) in passages]
-    arc = arc_from_walk(tri, label, walk)
-    if arc is None:
-        raise ComputationError("dragged walk is not a single taut arc")
-    return arc
 
 
 def boundary_drag(g: ArcClass, label: str, direction: int) -> ArcClass:
@@ -789,40 +701,33 @@ def boundary_drag(g: ArcClass, label: str, direction: int) -> ArcClass:
     a single splice; dragging them one at a time is not an embedded
     operation when they share the component.
 
+    The dragged arc leaves its triangles by the sides of the collar walk
+    from the base edge, when the arc starts on ``label``; then by the
+    arc's own sides, with those of the walk from its far end's edge,
+    reversed, before its last one when that end is on ``label``.  Every
+    edge crossed straight back cancels (``_cancel``), and
+    ``arc_from_walk`` reads the arc off the crossed edges.
+
     The tests' reference for the boundary twist letter; no computation
     calls it (``bench/tracer.py`` names it)."""
     _check_direction(direction)
     tri = g.tri
     drag_s = g.start[0] == label
     # the far end is on label when label holds more ends than the start
-    drag_e = g.ends_on(label) > drag_s
+    drag_e = g.coords.ends_on(label) > drag_s
     if not drag_s and not drag_e:
         return g
-    orig = [p[:3] for p in g.passages()]
-    if len(orig) < 2 and drag_s and drag_e:
-        raise CurveError("cannot drag a boundary-parallel sliver arc")
-    seq: list = []
-    if drag_s:
-        # the wrap ends by leaving through the base edge, where the arc
-        # starts: the arc leaves from the wrap's last entry instead
-        _entry, _loop, wrap, _lead = _collar_loop(tri, label, direction,
-                                                  tri.base_edge_of[label])
-        (t0, kin, _k0) = wrap[-1]
-        seq.extend(wrap[:-1])
-        seq.append((t0, kin, orig[0][2]))
-        body_start = 1
-    else:
-        body_start = 0
-    body_end = len(orig) - 1 if drag_e else len(orig)
-    seq.extend(orig[body_start:body_end])
+    gluing = _gluing(tri)
+    sides = [(t, k_out) for (t, _k, k_out, _e, _slot) in g.passages()]
     if drag_e:
-        (t1, k1, k_end) = orig[-1]
-        # the appended end trajectory runs through the collar opposite to
-        # the prepended start one, so splice the end edge's wrap reversed
-        _entry, _loop, wrap_e, _lead = _collar_loop(
-            tri, label, direction, tri.triangles[t1][k_end][0])
-        seq.append((t1, k1, wrap_e[-1][1]))
-        seq.extend((t, ko, ki) for (t, ki, ko) in reversed(wrap_e[:-1]))
-    reduced = reduce_passages(tri, seq)
-    start_label = g.start[0]
-    return _arc_from_passages(tri, start_label, reduced)
+        *_, back = _collar_walk(tri, label, direction,
+                                tri.boundary_cycles[label].index(sides[-1]))
+        sides[-1:-1] = [gluing[t][k][:2] for (t, k) in reversed(back)]
+    exits: list = []
+    if drag_s:
+        *_, exits = _collar_walk(tri, label, direction, 0)
+    arc = arc_from_walk(tri, g.start[0], [tri.triangles[t][k][0] for (t, k)
+                                          in _cancel(gluing, exits, sides)])
+    if arc is None:
+        raise ComputationError("dragged walk is not a single taut arc")
+    return arc

@@ -146,7 +146,7 @@ def _drag_chain(gamma: curves.ArcClass, C: str, sign: int):
     tri = gamma.tri
     key = ("drag_chain", C, sign, gamma.coords.weights, gamma.start)
     if key not in tri._cache:
-        k = gamma.ends_on(C)
+        k = gamma.coords.ends_on(C)
         c_C = curves.boundary_parallel_curve(tri, C).weights
         lap = tuple(k * x for x in c_C)
         forward = engine.boundary_twist_encoding(tri, C, sign).forward
@@ -212,7 +212,7 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
         raise CurveError("Key Lemma requires essential arc")
     rest, k = w.boundary_split(C)
     phi_arc = rest.orbit_arc(gamma, N)
-    half = 2 * N * max(len(rest), 1) + 2
+    half = 2 * N * max(rest.length(), 1) + 2
     # T_C^lo(gamma) >= phi_arc > T_C^hi(gamma); an end not compared yet
     # sits just outside the range
     lo, hi = -half - 1, half + 1

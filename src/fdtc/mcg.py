@@ -158,7 +158,9 @@ class MappingClassWord:
         rest, k = self._splits[label]
         return self if rest is None else rest, k
 
-    def __len__(self) -> int:
+    def length(self) -> int:
+        """The sum of the letters' |power|, of any size; ``len()`` could
+        not return one past sys.maxsize."""
         return sum(abs(g.power) for g in self.generators)
 
     def is_identity_word(self) -> bool:

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdtc.errors import ComputationError, CurveError
+from fdtc.errors import CurveError
 from fdtc import curves, engine
 from fdtc.fdtc import _boundary_power_arc, _first_probe_arc
 from fdtc.mcg import Generator, MappingClassWord
@@ -23,6 +23,7 @@ from fdtc.curves import (
     is_essential,
     is_matching,
     is_puncture_parallel,
+    puncture_link_curve,
     trace_components,
 )
 from conftest import (
@@ -187,6 +188,60 @@ class TestGeometricIntersection:
             got = geometric_intersection(NormalCoordinates(torus_tri, img), a)
             assert got == k
 
+    def test_multicurve_counts_each_component(self, torus_tri):
+        a2 = NormalCoordinates(torus_tri, tuple(2 * x for x in TORUS_A))
+        b = NormalCoordinates(torus_tri, TORUS_B)
+        assert geometric_intersection(a2, b) == 2
+        assert geometric_intersection(b, a2) == 2
+
+    def test_arcs_against_closed_curves_on_two_holed_torus(
+            self, two_holed_torus_tri):
+        tri = two_holed_torus_tri
+        curves_ = [TWO_HOLED_A, TWO_HOLED_B, TWO_HOLED_C,
+                   boundary_parallel_curve(tri, "C1").weights,
+                   boundary_parallel_curve(tri, "C2").weights]
+        want = {"C1": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 2, 2],
+                       [1, 1, 2, 2], [1, 1, 0, 0]],
+                "C2": [[0, 0, 0], [0, 0, 0], [1, 1, 1], [1, 1, 1],
+                       [1, 1, 1]]}
+        for C, rows in want.items():
+            arcs = enumerate_arcs(tri, C, 6)[:4]
+            for c, row in zip(curves_, rows):
+                c = NormalCoordinates(tri, c)
+                assert [geometric_intersection(g.coords, c)
+                        for g in arcs] == row
+                assert [geometric_intersection(c, g.coords)
+                        for g in arcs] == row
+
+    def test_arcs_against_closed_curves_on_disc3(self, disc3_tri):
+        tri = disc3_tri
+        arcs = enumerate_arcs(tri, "C", 7)[:5]
+        curves_ = [engine.pair_curve_weights(tri, 1),
+                   engine.pair_curve_weights(tri, 2),
+                   boundary_parallel_curve(tri, "C").weights] + [
+            puncture_link_curve(tri, v).weights
+            for v in tri.puncture_vertices]
+        rows = [[2, 2, 2, 0, 2], [2, 0, 0, 2, 0], [2, 2, 2, 2, 2]] + \
+            [[0] * 5] * 3
+        for c, row in zip(curves_, rows, strict=True):
+            c = NormalCoordinates(tri, c)
+            assert [geometric_intersection(g.coords, c) for g in arcs] == row
+
+    def test_puncture_links_miss_a_heavy_curve(self, disc3_tri):
+        # x crosses each puncture link's edges about 2 * 10^9 times, yet a
+        # link bounds a once-punctured disc, which x can avoid
+        tri = disc3_tri
+        p1 = engine.pair_curve_weights(tri, 1)
+        p2 = engine.pair_curve_weights(tri, 2)
+        enc = engine.twist_encoding(tri, p1) + \
+            engine.twist_encoding(tri, p2, -1)
+        x = NormalCoordinates(tri, enc.power(12).forward(p1))
+        for v in tri.puncture_vertices:
+            link = puncture_link_curve(tri, v)
+            assert sum(a * b for a, b in zip(x.weights, link.weights)) > 10 ** 9
+            assert geometric_intersection(x, link) == 0
+            assert geometric_intersection(link, x) == 0
+
 
 class TestCompareAtBase:
     def test_equal_on_same_arc(self, torus_tri):
@@ -273,8 +328,9 @@ class TestCollarLaps:
 
 
 class TestOverlayCap:
-    """Pairs with more crossing pairs than the overlay cap go through the
-    twist-growth route, or fail with an error naming the cap."""
+    """Pairs below and above the cap of 50,000 crossing pairs that an
+    overlay of strands once had take one route: the twist growth along
+    the closed side.  Two sides that both carry arc ends have none."""
 
     def _twisted(self, tri, k):
         a = NormalCoordinates(tri, engine.twist_encoding(
@@ -289,29 +345,25 @@ class TestOverlayCap:
 
     def test_routes_agree_below_the_cap(self, torus_tri):
         a, b = self._twisted(torus_tri, 160)
-        assert self._pairs(torus_tri, a, b) <= curves.OVERLAY_PAIR_LIMIT
+        assert self._pairs(torus_tri, a, b) <= 50_000
         assert geometric_intersection(a, b) == 160 ** 2 + 1
-        assert curves._twist_growth_intersection(a, b) == 160 ** 2 + 1
+        assert geometric_intersection(b, a) == 160 ** 2 + 1
 
-    def test_twist_route_above_the_cap(self, torus_tri, monkeypatch):
+    def test_twist_route_above_the_cap(self, torus_tri):
         a, b = self._twisted(torus_tri, 320)
-        assert self._pairs(torus_tri, a, b) > curves.OVERLAY_PAIR_LIMIT
-
-        def fail(*args):
-            raise AssertionError("overlay attempted above the cap")
-
-        monkeypatch.setattr(curves, "_overlay_intersection", fail)
+        assert self._pairs(torus_tri, a, b) > 50_000
         assert geometric_intersection(a, b) == 320 ** 2 + 1
 
     def test_arcs_above_the_cap_rejected(self, torus_tri):
+        # both sides with arc ends, heavy or light: no closed side
         gamma = enumerate_arcs(torus_tri, "S", 6)[0].coords.weights
         enc = engine.twist_encoding(torus_tri, TORUS_A, 1) + \
             engine.twist_encoding(torus_tri, TORUS_B, -1)
-        a = NormalCoordinates(torus_tri, enc.power(12).forward(gamma))
-        b = NormalCoordinates(torus_tri, enc.power(13).forward(gamma))
-        assert self._pairs(torus_tri, a, b) > curves.OVERLAY_PAIR_LIMIT
-        with pytest.raises(ComputationError, match="overlay cap of 50000"):
-            geometric_intersection(a, b)
+        for k in (0, 12):
+            a = NormalCoordinates(torus_tri, enc.power(k).forward(gamma))
+            b = NormalCoordinates(torus_tri, enc.power(k + 1).forward(gamma))
+            with pytest.raises(CurveError, match="need a closed side"):
+                geometric_intersection(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +416,11 @@ def _plain_laps(g, direction):
     edge to the collar loop and then repeat the loop's exit sides, in
     whole laps."""
     tri = g.tri
-    _entry, loop, wrap, lead = curves._collar_loop(
-        tri, g.start[0], direction, tri.base_edge_of[g.start[0]])
-    approach = [k_out for (_t, _k, k_out) in wrap[:lead - len(loop)]]
-    lap = [k_out for (_t, _k, k_out) in wrap[lead - len(loop):lead]]
-    t0, k0, _k1 = wrap[0]
+    eps = tri.base_edge_of[g.start[0]]
+    _entry, loop, lead = curves._collar_loop(tri, g.start[0], direction, eps)
+    approach = lead[:-len(loop)]
+    lap = lead[-len(loop):]
+    t0, k0 = tri.incidences[eps][0]
     c = g.coords
     q = curves._position(c, t0, k0, g.start[1])
     n = 0

@@ -603,17 +603,23 @@ class TestFlippedTriangulations:
         # disc make self-folded triangles
         std, paths = _flip_paths(spec)
         for tri in [std] + [tri for tri, _enc in paths]:
+            gluing = curves._gluing(tri)
             for C in spec.boundary_labels:
                 (comp,) = curves.trace_components(
                     curves.boundary_parallel_curve(tri, C))
                 edges = comp["edges"]
                 turns = [edges[i:] + edges[:i] for i in range(len(edges))]
-                for (t, k) in tri.boundary_cycles[C]:
+                for i, (t, k) in enumerate(tri.boundary_cycles[C]):
                     for direction in (1, -1):
-                        entry, loop, wrap, _lead = curves._collar_loop(
+                        *_, walk = curves._collar_walk(tri, C, direction, i)
+                        # each passage leaves by another side than it
+                        # entered by, the last back out through (t, k)
+                        entries = [(t, k)] + [gluing[t2][k2][:2]
+                                              for (t2, k2) in walk]
+                        assert all(x != y for x, y
+                                   in zip(entries, walk + [(t, k)]))
+                        entry, loop, _lead = curves._collar_loop(
                             tri, C, direction, tri.triangles[t][k][0])
-                        assert all(k_in != k_out
-                                   for (_t, k_in, k_out) in wrap)
                         passages = _loop_passages(tri, entry, loop)
                         exits = [tri.triangles[t2][k2][0]
                                  for (t2, _k, k2) in passages]
@@ -816,7 +822,7 @@ class TestSeededSearch:
                 twist = MappingClassWord(tri, [Generator.boundary(C, m)])
                 return compare_at_base(twist.apply_arc(gamma), image, C)
 
-            half = 2 * N * max(len(w), 1) + 2
+            half = 2 * N * max(w.length(), 1) + 2
             assert _outcome(lambda: key_lemma_interval(w, C, gamma, N)) == \
                 _outcome(lambda: _bisection(rel, N, half))
 
@@ -849,7 +855,7 @@ class TestSeededSearch:
         @example(1, 0, -7, False)    # M below the low end
         @example(2, 1, 11, False)
         def check(N, end, offset, exact):
-            half = 2 * N * len(w) + 2
+            half = 2 * N * w.length() + 2
             # M near one of the range ends, or anywhere inside
             target["M"] = end * half + offset if end in (-1, 1) else offset
             target["exact"] = exact

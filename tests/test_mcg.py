@@ -79,7 +79,7 @@ class TestWordConstruction:
     def test_len_counts_letters(self, torus_tri):
         w = MappingClassWord(torus_tri, [
             Generator.twist(TORUS_A, 2), Generator.twist(TORUS_B, -3)])
-        assert len(w) == 5
+        assert w.length() == 5
 
 
 class TestBoundarySplit:

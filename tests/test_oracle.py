@@ -97,7 +97,8 @@ class TestOneHoledTorus:
     @pytest.mark.parametrize("k,want", [
         (1, Fraction(1, 6)), (2, Fraction(1, 4)), (3, Fraction(1, 3)),
         (4, Fraction(1, 2)), (10 ** 6, Fraction(1, 2)),
-        (10 ** 9, Fraction(1, 2)),
+        (10 ** 9, Fraction(1, 2)), (10 ** 30, Fraction(1, 2)),
+        (2 ** 63, Fraction(1, 2)), (-10 ** 30, Fraction(0)),
     ])
     def test_pinned(self, torus_tri, k, want):
         word = [("a", k), ("b", 1)]
