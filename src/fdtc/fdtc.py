@@ -10,6 +10,14 @@ coefficient; equality at the bracket end pins the point value M/N
 directly.  Everything is integer/rational arithmetic on normal
 coordinates, so results are exact.
 
+``fdtc_exact`` brackets at N1 = D + 1 first.  When that window holds one
+admissible rational, it is c, and the bracket at N follows in closed
+form: M = floor(Nc) when Nc is not an integer, and otherwise the
+relation of gamma to its image under T_C^(-nc) w^n, which has
+coefficient 0 and keeps the order at the base point, is the same at N1
+and at N (``_bracket_from_first``).  Integer values, and half-integer
+ones when D is even, are so read off N1 replays of w instead of N.
+
 The twist T_C along the boundary is central among the mapping classes
 that fix the boundary pointwise: f T_C f^-1 = T_f(C) = T_C.  So a word
 splits as phi = T_C^k rest (``MappingClassWord.boundary_split``) and
@@ -210,6 +218,12 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
         raise CurveError("probe arc must start on %r" % (C,))
     if not curves.is_essential(gamma):
         raise CurveError("Key Lemma requires essential arc")
+    return _key_lemma_search(w, C, gamma, N)
+
+
+def _key_lemma_search(w: MappingClassWord, C: str, gamma: curves.ArcClass,
+                      N: int) -> RationalInterval:
+    """The search of ``key_lemma_interval``, on arguments it has checked."""
     rest, k = w.boundary_split(C)
     phi_arc = rest.orbit_arc(gamma, N)
     half = 2 * N * max(rest.length(), 1) + 2
@@ -334,11 +348,52 @@ def _without_essential_arc(tri, C: str) -> bool:
         and spec.puncture_count <= 1
 
 
-def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
-    """c(w, C) as an exact rational.
+def _bracket_from_first(first: RationalInterval, D: int, N: int):
+    """(c, the bracket at N) read off the bracket ``first`` at
+    N1 = D + 1 < N, or None when it leaves the bracket at N open.
 
-    Runs the bracketing once, at N = key_lemma_power(D).  On the annulus
-    D = 1, so N = 1 and the bracket is the integer twist power itself."""
+    Every bracket holds c, whose denominator is at most D, so a first
+    bracket with one such candidate pins c.  When Nc is not an integer, c
+    lies strictly inside the bracket at N, so M = floor(Nc).  When it is,
+    let f_n = T_C^(-nc) w^n for n with nc an integer: T_C is central, so
+    f_n has coefficient 0, and T_C^(nc), which keeps the order at the
+    base point, turns the relation of T_C^(nc)(gamma) to w^n(gamma) into
+    that of gamma to f_n(gamma).  A map f that fixes C keeps that order
+    too: gamma > f(gamma) gives f(gamma) > f^2(gamma) > ..., so gamma
+    stands to every f^j(gamma), j >= 1, as it stands to f(gamma), and
+    likewise for < and =.  As f_N1^N = f_N^N1, the relation at N is the
+    relation at N1.  The first bracket shows it when N1 c is an integer,
+    that is when c is one of its ends.  Equality makes it the point c,
+    and the bracket at N is the point c.  c its lower end means
+    T_C^(N1 c)(gamma) > w^N1(gamma), so M = Nc at N and the bracket is
+    [c, c + 1/N]; c its upper end gives M = Nc - 1 and [c - 1/N, c].
+    c strictly inside the first bracket decides nothing at N."""
+    cands = bounded_denominator_candidates(first, D)
+    if len(cands) != 1:
+        return None
+    c = cands[0]
+    M, r = divmod(c.numerator * N, c.denominator)
+    if r:
+        return c, RationalInterval(Fraction(M, N), Fraction(M + 1, N))
+    if first.is_point:
+        return c, _point(c)
+    if c == first.lo:
+        return c, RationalInterval(c, c + Fraction(1, N))
+    if c == first.hi:
+        return c, RationalInterval(c - Fraction(1, N), c)
+    return None
+
+
+def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
+    """c(w, C) as an exact rational, with the bracket at
+    N = key_lemma_power(D).
+
+    The bracket at N1 = D + 1, when N1 < N, comes first: when it pins c,
+    the bracket at N follows in closed form (``_bracket_from_first``) and
+    w is replayed N1 times, not N.  Otherwise the orbit of the probe arc
+    resumes from w^N1(gamma) and the Key Lemma brackets at N, whose window
+    holds one admissible rational.  On the annulus D = 1, so N = 1 and
+    the bracket is the integer twist power itself."""
     tri = w.tri
     if _without_essential_arc(tri, C):
         return FDTCResult(Fraction(0), _point(Fraction(0)),
@@ -353,17 +408,26 @@ def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
             )
     D = denominator_bound(spec.fold_punctures()).value
     N = key_lemma_power(D)
-    interval = key_lemma_interval(w, C, _first_probe_arc(tri, C), N)
-    M = int(interval.lo * N)
-    if interval.is_point:
-        return FDTCResult(interval.lo, interval, "PeriodicityCorollary",
-                          N=N, M=M, D=D)
-    val, report = unique_bounded_denominator(interval, D)
-    if val is None:
-        raise InconsistentDataError(
-            "%s admissible rational in the bracketing interval"
-            % ("no" if report["status"] == "empty" else "more than one"))
-    return FDTCResult(val, interval, "ExactTheorem", N=N, M=M, D=D)
+    gamma = _first_probe_arc(tri, C)
+    settled = None
+    if D + 1 < N:
+        settled = _bracket_from_first(
+            _key_lemma_search(w, C, gamma, D + 1), D, N)
+    if settled:
+        val, interval = settled
+    else:
+        interval = key_lemma_interval(w, C, gamma, N)
+        val = interval.lo
+        if not interval.is_point:
+            val, report = unique_bounded_denominator(interval, D)
+            if val is None:
+                raise InconsistentDataError(
+                    "%s admissible rational in the bracketing interval"
+                    % ("no" if report["status"] == "empty"
+                       else "more than one"))
+    return FDTCResult(val, interval, "PeriodicityCorollary"
+                      if interval.is_point else "ExactTheorem",
+                      N=N, M=int(interval.lo * N), D=D)
 
 
 def braid_fdtc(w: MappingClassWord, C: str) -> FDTCResult:

@@ -474,6 +474,40 @@ class TestDeterminism:
         assert "warning:" in out
 
 
+def _exact_report(lo, hi, provenance, value):
+    """The bytes of ``fdtc exact`` on S_{1,1} for word w at N = 31."""
+    return (
+        '{\n "inputs": {\n  "component": "S",\n  "word": "w"\n },\n'
+        ' "results": [\n  {\n   "D": 6,\n   "N": 31,\n   "interval": {\n'
+        '    "hi": "%s",\n    "hi_closed": true,\n    "lo": "%s",\n'
+        '    "lo_closed": true\n   },\n   "provenance": "%s",\n'
+        '   "value": "%s"\n  }\n ],\n "task": "fdtc exact",\n'
+        ' "warnings": []\n}\n' % (hi, lo, provenance, value))
+
+
+class TestExactReportBytes:
+    """The report carries the bracket at N = 31 whether fdtc_exact
+    derived it from the bracket at 7 or searched for it."""
+
+    A = {"curve": list(TORUS_A)}
+    B = {"curve": list(TORUS_B)}
+
+    @pytest.mark.parametrize("word,report", [
+        ([dict(A, power=10 ** 9), B],
+         ("15/31", "16/31", "ExactTheorem", "1/2")),
+        ([A, dict(B, power=-1)], ("-1/31", "0", "ExactTheorem", "0")),
+        ([dict(A, power=-1), B], ("0", "1/31", "ExactTheorem", "0")),
+        ([A, B] * 6, ("1", "1", "PeriodicityCorollary", "1")),
+        # 1/6 shares the bracket at 7 with 1/5 and 1/4
+        ([A, B], ("5/31", "6/31", "ExactTheorem", "1/6")),
+    ])
+    def test_pinned(self, word, report, capsys):
+        problem = json.dumps({"surface": {"genus": 1, "boundary": ["S"]},
+                              "words": {"w": word}})
+        assert main(["fdtc", "exact", problem]) == EXIT_OK
+        assert capsys.readouterr().out == _exact_report(*report)
+
+
 class TestColdStart:
     def test_import_skips_dataclasses_and_inspect(self):
         # -S keeps site hooks from importing modules of their own

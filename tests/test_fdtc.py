@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdtc.errors import ComputationError, TriangulationError, WordError
-from fdtc.surface import SurfaceSpec, standard_triangulation
+from fdtc.surface import SurfaceSpec, denominator_bound, standard_triangulation
 from fdtc import curves, engine
 from fdtc import fdtc as fdtc_mod
 from fdtc.curves import (
@@ -16,12 +16,15 @@ from fdtc.engine import POSITIVE_DRAG_DIRECTION
 from fdtc.mcg import Generator, MappingClassWord, identity_word
 from fdtc.fdtc import (
     _boundary_power_arc,
+    _bracket_from_first,
     _first_probe_arc,
+    FDTCResult,
     RationalInterval,
     bounded_denominator_candidates,
     braid_fdtc,
     fdtc_exact,
     key_lemma_interval,
+    key_lemma_power,
     quasimorphism_audit,
     right_veering_test,
     translation_estimate,
@@ -358,6 +361,99 @@ class TestBoundaryShift:
         rest = w.boundary_split("S")[0].encoding()
         assert applied.count(rest) == 64
         assert len(applied) <= 64 + 4
+
+
+def _bracketed_at_N(w, C):
+    """The reference for fdtc_exact: the Key Lemma searched at
+    N = key_lemma_power(D), then recovery of c from that bracket alone."""
+    D = denominator_bound(w.tri.surface.fold_punctures()).value
+    N = key_lemma_power(D)
+    iv = key_lemma_interval(w, C, _first_probe_arc(w.tri, C), N)
+    if iv.is_point:
+        value, provenance = iv.lo, "PeriodicityCorollary"
+    else:
+        value, provenance = unique_bounded_denominator(iv, D)[0], "ExactTheorem"
+    return FDTCResult(value, iv, provenance, N=N, M=int(iv.lo * N), D=D)
+
+
+class TestFirstBracket:
+    """fdtc_exact brackets at D + 1 first and, when that pins c, derives
+    the bracket at N = D(D-1)+1 without searching for it."""
+
+    @pytest.mark.parametrize("fixture,C,twists", [
+        ("torus_tri", "S", (TORUS_A, TORUS_B)),
+        ("two_holed_torus_tri", "C1", (TWO_HOLED_A, TWO_HOLED_B,
+                                       TWO_HOLED_C)),
+        ("two_holed_torus_tri", "C2", (TWO_HOLED_A, TWO_HOLED_B,
+                                       TWO_HOLED_C)),
+        ("genus2_tri", "S", GENUS2_CHAIN),
+    ])
+    def test_matches_bracket_at_N(self, fixture, C, twists, request):
+        tri = request.getfixturevalue(fixture)
+        letters = [Generator.twist(c) for c in twists] + \
+            [Generator.boundary(lab) for lab in tri.surface.boundary_labels]
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(st.tuples(st.sampled_from(letters),
+                                  st.sampled_from((1, -1, 2, -3))),
+                        min_size=1, max_size=6))
+        def check(word):
+            gens = [Generator(g.kind, p * g.power, g.curve, g.label, g.index)
+                    for (g, p) in word]
+            got = fdtc_exact(MappingClassWord(tri, gens), C)
+            want = _bracketed_at_N(MappingClassWord(tri, gens), C)
+            assert got == want
+
+        check()
+
+    @pytest.mark.parametrize("first,c,lo,hi", [
+        # Nc not an integer: M = floor(Nc)
+        ((Fraction(3, 7), Fraction(4, 7)), Fraction(1, 2),
+         Fraction(15, 31), Fraction(16, 31)),
+        # the first bracket is the point c
+        ((Fraction(1), Fraction(1)), Fraction(1), Fraction(1), Fraction(1)),
+        # c is the lower end
+        ((Fraction(0), Fraction(1, 7)), Fraction(0), Fraction(0),
+         Fraction(1, 31)),
+        # c is the upper end
+        ((Fraction(-1, 7), Fraction(0)), Fraction(0), Fraction(-1, 31),
+         Fraction(0)),
+    ])
+    def test_derived_branches(self, first, c, lo, hi):
+        assert _bracket_from_first(RationalInterval(*first), 6, 31) == \
+            (c, RationalInterval(lo, hi))
+
+    def test_undecided(self):
+        # D = 10, N = 91 = 7 * 13, N1 = 11.  The bracket at 11 around
+        # c = 1/7 holds 1/10, ..., 1/6; a window holding c = 1/7 alone,
+        # strictly inside, says nothing at N, where 91 c = 13
+        D, N = 10, 91
+        assert _bracket_from_first(
+            RationalInterval(Fraction(1, 11), Fraction(2, 11)), D, N) is None
+        alone = RationalInterval(Fraction(1, 7) - Fraction(1, 100),
+                                 Fraction(1, 7) + Fraction(1, 100))
+        assert bounded_denominator_candidates(alone, D) == [Fraction(1, 7)]
+        assert _bracket_from_first(alone, D, N) is None
+
+    @pytest.mark.parametrize("letters,replays", [
+        # c = 0 at the lower end of [0, 1/7]: w^7(gamma) only
+        ([Generator.twist(TORUS_A, -1), Generator.twist(TORUS_B)], 7),
+        # c = 1/6 shares [1/7, 2/7] with 1/5 and 1/4: the orbit resumes
+        # from w^7(gamma) up to w^31(gamma)
+        ([Generator.twist(TORUS_A), Generator.twist(TORUS_B)], 31),
+    ])
+    def test_replays(self, torus_tri, letters, replays, monkeypatch):
+        applied = []
+        forward = engine.Encoding.forward
+
+        def counted(self, x):
+            applied.append(self)
+            return forward(self, x)
+
+        monkeypatch.setattr(engine.Encoding, "forward", counted)
+        w = MappingClassWord(torus_tri, letters)
+        fdtc_exact(w, "S")
+        assert applied.count(w.encoding()) == replays
 
 
 class TestGroupLaws:
