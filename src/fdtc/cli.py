@@ -72,11 +72,8 @@ def _section(data: dict, key: str) -> dict:
 
 
 def parse_problem(source) -> ProblemFile:
-    """Parse and validate a problem file from a path, file object or
-    JSON text."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    """Parse and validate a problem file from a path or JSON text."""
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
         try:

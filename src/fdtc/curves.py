@@ -416,22 +416,24 @@ class ArcClass(Record):
                             self.start[1])
 
 
-def arc_from_walk(tri: Triangulation, label: str, walk_edges) -> ArcClass | None:
-    """Build the arc class whose taut representative crosses, from the
-    base edge of ``label``, exactly ``walk_edges`` in order (the last
-    entry being the terminal boundary edge).  Returns None when no
-    single embedded taut arc realizes the walk."""
+def arc_from_walk(tri: Triangulation, label: str, walk) -> ArcClass | None:
+    """Build the arc class whose taut representative, from the base edge
+    of ``label``, leaves its triangles by exactly the sides (t, k) of
+    ``walk`` in order (the last one on the terminal boundary edge).
+    Sides, not edges: a self-folded triangle has two sides on one edge.
+    Returns None when no single embedded taut arc realizes the walk."""
     eps = tri.base_edge_of[label]
-    coords = coords_from_crossings(tri, [eps] + list(walk_edges))
+    coords = coords_from_crossings(
+        tri, [eps] + [tri.triangles[t][k][0] for (t, k) in walk])
     if not is_matching(coords):
         return None
-    want = list(walk_edges)
     for slot in range(coords.weights[eps]):
         try:
-            edges = [p[3] for p in trace_strand(coords, eps, slot)]
+            sides = [(t, k_out) for (t, _k, k_out, _e, _slot)
+                     in trace_strand(coords, eps, slot)]
         except ComputationError:
             return None
-        if edges == want and len(edges) + 1 == coords.total_weight:
+        if sides == walk and len(sides) + 1 == coords.total_weight:
             return ArcClass(coords, (label, slot))
     return None
 
@@ -532,9 +534,8 @@ def _inessential_arcs(tri: Triangulation, label: str) -> dict:
     # by the boundary side after that vertex
     for direction in (1, -1):
         for i, exits in enumerate(_collar_walk(tri, label, direction, 0), 1):
-            walk = [tri.triangles[t][k][0]
-                    for (t, k) in exits + [cycle[direction * i % len(cycle)]]]
-            arc = arc_from_walk(tri, label, walk)
+            arc = arc_from_walk(
+                tri, label, exits + [cycle[direction * i % len(cycle)]])
             if arc is not None:
                 found.setdefault((arc.coords.weights, arc.start), arc)
     tri._cache[key] = found
@@ -563,7 +564,7 @@ def enumerate_arcs(tri: Triangulation, C: str, weight_bound: int) -> list[ArcCla
         for rel in (1, 2):
             k2 = (k + rel) % 3
             e2, _s2 = tri.triangles[t][k2]
-            new_walk = walk + [e2]
+            new_walk = walk + [(t, k2)]
             if tri.is_boundary_edge(e2):
                 arc = arc_from_walk(tri, C, new_walk)
                 if arc is not None and is_essential(arc):
@@ -706,7 +707,7 @@ def boundary_drag(g: ArcClass, label: str, direction: int) -> ArcClass:
     arc's own sides, with those of the walk from its far end's edge,
     reversed, before its last one when that end is on ``label``.  Every
     edge crossed straight back cancels (``_cancel``), and
-    ``arc_from_walk`` reads the arc off the crossed edges.
+    ``arc_from_walk`` reads the arc off the remaining exit sides.
 
     The tests' reference for the boundary twist letter; no computation
     calls it (``bench/tracer.py`` names it)."""
@@ -726,8 +727,7 @@ def boundary_drag(g: ArcClass, label: str, direction: int) -> ArcClass:
     exits: list = []
     if drag_s:
         *_, exits = _collar_walk(tri, label, direction, 0)
-    arc = arc_from_walk(tri, g.start[0], [tri.triangles[t][k][0] for (t, k)
-                                          in _cancel(gluing, exits, sides)])
+    arc = arc_from_walk(tri, g.start[0], _cancel(gluing, exits, sides))
     if arc is None:
         raise ComputationError("dragged walk is not a single taut arc")
     return arc

@@ -292,10 +292,8 @@ def validate_graph(g: FoliationGraph) -> list:
     return diags
 
 
-def self_linking(c: SingularityCounts, closed: bool = False) -> int:
+def self_linking(c: SingularityCounts) -> int:
     """Self-linking number of the boundary from singularity counts."""
-    if closed:
-        raise FoliationError("sl undefined for a closed surface")
     return -(c.e_plus - c.e_minus) + (c.h_plus - c.h_minus)
 
 
@@ -553,63 +551,3 @@ def bc_annulus_witness_check(g: FoliationGraph):
                 "assumptions": ["c-circles essential (caller-asserted)"],
             }
     return None
-
-
-def ot_complexity_interpret(n_value: int, is_upper_bound: bool = False) -> str:
-    """Read off tightness/right-veering from the minimal number of
-    negative elliptic points over all overtwisted-disc certificates
-    (0 when the contact structure is tight).
-
-    With ``is_upper_bound`` the value only caps the minimum, so the
-    verdict is the disjunction of the cases it allows."""
-    if n_value < 0:
-        raise FoliationError("complexity must be nonnegative")
-    cases = [
-        "tight; monodromy right-veering",
-        "overtwisted; monodromy not right-veering",
-        "overtwisted; monodromy right-veering",
-    ]
-    if not is_upper_bound:
-        return cases[min(n_value, 2)]
-    return " | ".join(cases[: min(n_value, 2) + 1])
-
-
-# -- example constructors ----------------------------------------------------
-
-
-def trivial_disc_graph() -> FoliationGraph:
-    """The disc bounded by a trivially braided unknot: two positive
-    elliptic points joined through one positive hyperbolic point in an
-    aa-tile.  Its self-linking number is -1."""
-    return FoliationGraph(
-        SurfaceTopology(0, 1),
-        (EllipticPoint("v1", 1, "C", True, True, True),
-         EllipticPoint("v2", 1, "C", True, True, True)),
-        (HyperbolicPoint("h1", 1, "aa"),),
-        (("h1", "v1"), ("h1", "v2")),
-    )
-
-
-def overtwisted_disc_graph(spokes: int = 3) -> FoliationGraph:
-    """A disc certificate with a single negative elliptic point: one
-    negative centre, ``spokes`` positive elliptic points around it, and
-    one positive hyperbolic point in an ab-tile between consecutive
-    spokes.  The positive separatrix graph is a ``spokes``-cycle and the
-    negative one is the lone centre vertex."""
-    if spokes < 1:
-        raise FoliationError("need at least one spoke")
-    centre = EllipticPoint("v-", -1, "C", True, True, False)
-    ells = [centre] + [
-        EllipticPoint("w%d" % i, 1, "C", True, True, True)
-        for i in range(1, spokes + 1)
-    ]
-    hyps = []
-    inc = []
-    for i in range(1, spokes + 1):
-        hid = "h%d" % i
-        hyps.append(HyperbolicPoint(hid, 1, "ab", degenerated=spokes == 1))
-        inc.append((hid, "v-"))
-        inc.append((hid, "w%d" % i))
-        inc.append((hid, "w%d" % (i % spokes + 1)))
-    return FoliationGraph(SurfaceTopology(0, 1), tuple(ells), tuple(hyps),
-                          tuple(inc))

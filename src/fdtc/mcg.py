@@ -163,9 +163,6 @@ class MappingClassWord:
         not return one past sys.maxsize."""
         return sum(abs(g.power) for g in self.generators)
 
-    def is_identity_word(self) -> bool:
-        return not self.generators
-
     # -- the action ---------------------------------------------------------
 
     def encoding(self) -> engine.Encoding:
@@ -188,12 +185,6 @@ class MappingClassWord:
     def apply(self, x: curves.NormalCoordinates) -> curves.NormalCoordinates:
         self._check_coords(x)
         return curves.NormalCoordinates(self.tri, self.encoding().forward(x.weights))
-
-    def apply_arc(self, g: curves.ArcClass) -> curves.ArcClass:
-        """Image of a boundary-based arc.  The mapping class fixes the
-        boundary pointwise, so the start slot is preserved."""
-        img = self.apply(g.coords)
-        return curves.ArcClass(img, g.start)
 
     def orbit_arc(self, gamma: curves.ArcClass, N: int) -> curves.ArcClass:
         """w^N(gamma), resumed from the kept point w^n(gamma) when n <= N,
@@ -274,10 +265,6 @@ def checked_curve(tri: Triangulation, weights) -> tuple:
         raise WordError("curve %r violates the matching conditions"
                         % (list(weights),))
     return tuple(weights)
-
-
-def identity_word(tri: Triangulation) -> MappingClassWord:
-    return MappingClassWord(tri)
 
 
 def puncture_permutation_order(w: MappingClassWord) -> int:

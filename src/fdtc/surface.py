@@ -351,68 +351,6 @@ class Triangulation:
         return self._derived
 
 
-def validate_triangulation(t: Triangulation) -> list[str]:
-    """Check all Triangulation invariants; return a list of diagnostics
-    (empty means ok)."""
-    diags: list[str] = []
-    try:
-        incidences = {}
-        for ti, tri in enumerate(t.triangles):
-            if len(tri) != 3:
-                diags.append("triangle %d does not have three sides" % ti)
-                continue
-            for k, (e, s) in enumerate(tri):
-                incidences.setdefault(e, []).append((ti, k, s))
-        for e, inc in sorted(incidences.items()):
-            if len(inc) > 2:
-                diags.append("non-manifold edge %d (glued to %d slots)" % (e, len(inc)))
-            elif len(inc) == 2:
-                if inc[0][2] == inc[1][2]:
-                    diags.append("edge %d glued without orientation reversal" % e)
-                if t.is_boundary_edge(e):
-                    diags.append("boundary edge %d is glued to two triangles" % e)
-            else:
-                if not t.is_boundary_edge(e):
-                    diags.append("interior edge %d has only one incidence" % e)
-        if diags:
-            return diags
-
-        spec = t.surface
-        V = len(t.vertices)
-        E = t.edge_count
-        F = len(t.triangles)
-        chi_expected = 2 - 2 * spec.genus - spec.boundary_count
-        if V - E + F != chi_expected:
-            diags.append(
-                "chi mismatch: V-E+F = %d, expected %d" % (V - E + F, chi_expected)
-            )
-        interior = len(t.puncture_vertices)
-        if interior != spec.puncture_count:
-            diags.append(
-                "puncture mismatch: %d interior vertices, %d punctures declared"
-                % (interior, spec.puncture_count)
-            )
-        if set(t.base_edge_of) != set(spec.boundary_labels):
-            diags.append("base edges do not cover the declared boundary labels")
-        cycles = t.boundary_cycles
-        covered = set()
-        for label, cycle in cycles.items():
-            for (ti, k) in cycle:
-                e, _s = t.triangles[ti][k]
-                if t.boundary_label_of_edge.get(e) != label:
-                    diags.append(
-                        "edge %d on the %s cycle carries label %r"
-                        % (e, label, t.boundary_label_of_edge.get(e))
-                    )
-                covered.add(e)
-        if covered != set(t.boundary_label_of_edge):
-            missing = sorted(set(t.boundary_label_of_edge) - covered)
-            diags.append("boundary edges %s not reached by any cycle" % missing)
-    except TriangulationError as exc:
-        diags.append(str(exc))
-    return diags
-
-
 # ---------------------------------------------------------------------------
 # standard triangulation
 

@@ -1,5 +1,12 @@
 import pytest
 
+from fdtc.curves import ArcClass
+from fdtc.foliation import (
+    EllipticPoint,
+    FoliationGraph,
+    HyperbolicPoint,
+    SurfaceTopology,
+)
 from fdtc.surface import SurfaceSpec, standard_triangulation
 
 # reference curves on the standard one-holed torus triangulation
@@ -49,6 +56,53 @@ def replace(record, **changes):
                         % (type(record).__name__, sorted(unknown)))
     fields.update(changes)
     return type(record)(**fields)
+
+
+def apply_arc(w, g):
+    """w(g) for a boundary-based arc g, read off the image of its normal
+    coordinates: the reference for ``orbit_arc`` and the boundary
+    powers.  A mapping class word fixes the boundary pointwise, so the
+    start slot is kept."""
+    return ArcClass(w.apply(g.coords), g.start)
+
+
+# -- foliation examples -------------------------------------------------------
+
+
+def trivial_disc_graph():
+    """The disc bounded by a trivially braided unknot: two positive
+    elliptic points joined through one positive hyperbolic point in an
+    aa-tile.  Its self-linking number is -1."""
+    return FoliationGraph(
+        SurfaceTopology(0, 1),
+        (EllipticPoint("v1", 1, "C", True, True, True),
+         EllipticPoint("v2", 1, "C", True, True, True)),
+        (HyperbolicPoint("h1", 1, "aa"),),
+        (("h1", "v1"), ("h1", "v2")),
+    )
+
+
+def overtwisted_disc_graph(spokes=3):
+    """A disc certificate with a single negative elliptic point: one
+    negative centre, ``spokes`` positive elliptic points around it, and
+    one positive hyperbolic point in an ab-tile between consecutive
+    spokes.  The positive separatrix graph is a ``spokes``-cycle and the
+    negative one is the lone centre vertex."""
+    centre = EllipticPoint("v-", -1, "C", True, True, False)
+    ells = [centre] + [
+        EllipticPoint("w%d" % i, 1, "C", True, True, True)
+        for i in range(1, spokes + 1)
+    ]
+    hyps = []
+    inc = []
+    for i in range(1, spokes + 1):
+        hid = "h%d" % i
+        hyps.append(HyperbolicPoint(hid, 1, "ab", degenerated=spokes == 1))
+        inc.append((hid, "v-"))
+        inc.append((hid, "w%d" % i))
+        inc.append((hid, "w%d" % (i % spokes + 1)))
+    return FoliationGraph(SurfaceTopology(0, 1), tuple(ells), tuple(hyps),
+                          tuple(inc))
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from fdtc.fdtc import (
     unique_bounded_denominator,
 )
 
-from conftest import replace
+from conftest import overtwisted_disc_graph, replace, trivial_disc_graph
 
 TORUS_A = (0, 1, 0, 1, 1)
 TORUS_B = (1, 0, 0, 1, 0)
@@ -41,7 +41,7 @@ def _random_torus_words(count, max_len, seed):
     while len(words) < count:
         n = rng.randint(1, max_len)
         w = MappingClassWord(tri, [rng.choice(letters) for _ in range(n)])
-        if not w.is_identity_word():
+        if w.generators:
             words.append(w)
     return tri, words
 
@@ -273,9 +273,9 @@ def test_criterion_08_slope_model_oracle():
 def _valid_graphs():
     from test_foliation import (annulus_graph, closed_sphere_graph,
                                 closed_torus_graph)
-    return [foliation.trivial_disc_graph(), closed_torus_graph(),
+    return [trivial_disc_graph(), closed_torus_graph(),
             closed_sphere_graph(), annulus_graph()] + \
-        [foliation.overtwisted_disc_graph(k) for k in range(1, 7)]
+        [overtwisted_disc_graph(k) for k in range(1, 7)]
 
 
 def test_criterion_09_foliation_validators():
@@ -422,7 +422,7 @@ def test_criterion_11_overtwisted_disc_checker():
     """The one-negative-elliptic-point disc certificate is accepted and
     reports non-right-veering; one mutation per certificate condition is
     rejected."""
-    g = foliation.overtwisted_disc_graph(3)
+    g = overtwisted_disc_graph(3)
     out = foliation.transverse_ot_disc_check(g)
     assert out["valid"] and out["non_right_veering"]
     assert "non-right-veering" in out["conclusion"]

@@ -26,11 +26,16 @@ from fdtc.foliation import (
     HyperbolicPoint,
     SurfaceTopology,
     aggregate_bounds,
+)
+from fdtc.mcg import MappingClassWord
+from conftest import (
+    TORUS_A,
+    TORUS_B,
+    TWO_HOLED_FOLDED,
+    TWO_HOLED_ODD,
     overtwisted_disc_graph,
     trivial_disc_graph,
 )
-from fdtc.mcg import MappingClassWord
-from conftest import TORUS_A, TORUS_B, TWO_HOLED_FOLDED, TWO_HOLED_ODD
 
 
 def torus_problem():
@@ -104,7 +109,7 @@ class TestParseProblem:
         data = torus_problem()
         data["words"]["e"] = []
         p = parse_problem(json.dumps(data))
-        assert p.words["e"].is_identity_word()
+        assert not p.words["e"].generators
 
     def test_invalid_json(self):
         with pytest.raises(ParseError):
@@ -506,6 +511,28 @@ class TestExactReportBytes:
                               "words": {"w": word}})
         assert main(["fdtc", "exact", problem]) == EXIT_OK
         assert capsys.readouterr().out == _exact_report(*report)
+
+
+class TestFoliationReportBytes:
+    """The light commands' reports on ``foliation_problem()``, pinned
+    byte for byte in tests/golden, in JSON and in the text format."""
+
+    @pytest.mark.parametrize("fmt,ext", [("json", "json"), ("text", "txt")])
+    @pytest.mark.parametrize("name,argv", [
+        ("check-triv", ["check", "--graph", "triv"]),
+        ("check-ot", ["check", "--graph", "ot"]),
+        ("otdisc-ot", ["otdisc", "--graph", "ot"]),
+        ("bounds-point", ["bounds", "--graph", "ot", "--points", "v-"]),
+        ("bounds-aggregate", ["bounds", "--graph", "ot", "--points",
+                              "w1,w2,w3", "--mode", "braid", "--aggregate"]),
+    ])
+    def test_pinned(self, name, argv, fmt, ext, foliation_file, capsys):
+        action, *rest = argv
+        assert main(["--format", fmt, "foliation", action, foliation_file]
+                    + rest) == EXIT_OK
+        want = Path(__file__).resolve().parent / "golden" / (
+            "foliation-%s.%s" % (name, ext))
+        assert capsys.readouterr().out == want.read_bytes().decode()
 
 
 class TestColdStart:

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdtc.errors import CurveError
+from fdtc.errors import CurveError, TriangulationError
 from fdtc import curves, engine
 from fdtc.fdtc import _boundary_power_arc, _first_probe_arc
 from fdtc.mcg import Generator, MappingClassWord
@@ -123,6 +123,28 @@ class TestEnumerateArcs:
     def test_respects_component(self, two_holed_torus_tri):
         for g in enumerate_arcs(two_holed_torus_tri, "C2", 6):
             assert g.start[0] == "C2"
+
+
+class TestFlippedArcs:
+    """An arc is read off the sides its walk leaves triangles by, not
+    the edges it crosses: flips of a punctured disc make self-folded
+    triangles, whose two sides on one edge an edge list cannot tell
+    apart, and two walks there cross the same edges in the same order."""
+
+    def test_flipped_once_punctured_disc_keeps_inessential_classes(self):
+        std = standard_triangulation(SurfaceSpec(0, ("C",), 1))
+        want = len(curves._inessential_arcs(std, "C"))
+        assert want == 6
+        for seed in range(20):
+            rng, tri = random.Random(seed), std
+            for _ in range(6):
+                interior = [e for e in range(tri.edge_count)
+                            if not tri.is_boundary_edge(e)]
+                try:
+                    tri, _step = engine.flip(tri, rng.choice(interior))
+                except TriangulationError:
+                    continue  # the folded edge of a self-folded triangle
+            assert len(curves._inessential_arcs(tri, "C")) == want, seed
 
 
 class TestArcPassages:

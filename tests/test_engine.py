@@ -19,7 +19,7 @@ from fdtc.curves import (
 )
 from conftest import (
     GENUS2_CHAIN, GENUS3_CHAIN, TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B,
-    TWO_HOLED_C,
+    TWO_HOLED_C, apply_arc,
 )
 
 
@@ -857,7 +857,7 @@ class TestKeyLemmaReplay:
         w = MappingClassWord(tri, gens)
         for (i, N) in calls:
             gamma = arcs[i]
-            ref = w.power(N).apply_arc(gamma)
+            ref = apply_arc(w.power(N), gamma)
             iv = key_lemma_interval(w, C, gamma, N)
             assert w.orbit_arc(gamma, N) == ref
             assert iv == key_lemma_interval(MappingClassWord(tri, gens), C,
@@ -865,7 +865,7 @@ class TestKeyLemmaReplay:
 
             def rel(m):
                 tm = MappingClassWord(tri, [Generator.boundary(C, m)])
-                return curves.compare_at_base(tm.apply_arc(gamma), ref, C)
+                return curves.compare_at_base(apply_arc(tm, gamma), ref, C)
 
             M = iv.lo * N
             assert M.denominator == 1

@@ -13,7 +13,7 @@ from fdtc.curves import (
     Ordering, boundary_drag, compare_at_base, enumerate_arcs,
 )
 from fdtc.engine import POSITIVE_DRAG_DIRECTION
-from fdtc.mcg import Generator, MappingClassWord, identity_word
+from fdtc.mcg import Generator, MappingClassWord
 from fdtc.fdtc import (
     _boundary_power_arc,
     _bracket_from_first,
@@ -32,7 +32,7 @@ from fdtc.fdtc import (
 )
 from conftest import (
     GENUS2_CHAIN, GENUS3_CHAIN, TORUS_A, TORUS_B, TWO_HOLED_A, TWO_HOLED_B,
-    TWO_HOLED_C,
+    TWO_HOLED_C, apply_arc,
 )
 
 
@@ -318,8 +318,8 @@ class TestBoundaryShift:
         rng = random.Random(fixture + C)
 
         def twisted(m):
-            return MappingClassWord(
-                tri, [Generator.boundary(C, m)]).apply_arc(gamma)
+            return apply_arc(MappingClassWord(
+                tri, [Generator.boundary(C, m)]), gamma)
 
         for _ in range(12):
             gens = []
@@ -335,7 +335,7 @@ class TestBoundaryShift:
             iv = key_lemma_interval(w, C, gamma, N)
             assert (iv.lo * N).denominator == 1
             M = int(iv.lo * N)
-            ref = w.power(N).apply_arc(gamma)
+            ref = apply_arc(w.power(N), gamma)
             assert compare_at_base(twisted(M), ref, C) is (
                 Ordering.EQUAL if iv.is_point else Ordering.RIGHT_OF)
             assert compare_at_base(twisted(M + 1), ref, C) \
@@ -503,7 +503,7 @@ class TestBraid:
             assert braid_fdtc(w, "C").value == Fraction(k, 2)
 
     def test_rejects_on_unpunctured(self, torus_tri):
-        w = identity_word(torus_tri)
+        w = MappingClassWord(torus_tri)
         with pytest.raises(WordError):
             braid_fdtc(w, "S")
 
@@ -761,7 +761,7 @@ class TestRightVeering:
         assert out["witness"] is not None
 
     def test_no_witness_for_identity(self, torus_tri):
-        out = right_veering_test(identity_word(torus_tri), "S", 5)
+        out = right_veering_test(MappingClassWord(torus_tri), "S", 5)
         assert out["verdict"] == "no-witness-up-to-bound"
 
 
@@ -782,13 +782,13 @@ class TestBoundaryPowerClosedForm:
         # of the first) and arcs that wind three times around C, whose
         # drags unwind them before they add whole laps
         arcs = enumerate_arcs(tri, C, 8)[:4]
-        arcs += [MappingClassWord(tri, [Generator.boundary(C, k)])
-                 .apply_arc(arcs[0]) for k in (3, -3)]
+        arcs += [apply_arc(MappingClassWord(tri, [Generator.boundary(C, k)]),
+                           arcs[0]) for k in (3, -3)]
         for gamma in arcs:
             for m in range(-7, 8):
                 twist = MappingClassWord(tri, [Generator.boundary(C, m)])
                 assert _boundary_power_arc(gamma, C, m) == \
-                    twist.apply_arc(gamma)
+                    apply_arc(twist, gamma)
 
     @pytest.mark.parametrize("genus", [2, 3])
     def test_matches_repeated_drag(self, genus):
@@ -912,11 +912,11 @@ class TestSeededSearch:
             w = MappingClassWord(tri, gens)
             image = gamma
             for _ in range(N):
-                image = w.apply_arc(image)
+                image = apply_arc(w, image)
 
             def rel(m):
                 twist = MappingClassWord(tri, [Generator.boundary(C, m)])
-                return compare_at_base(twist.apply_arc(gamma), image, C)
+                return compare_at_base(apply_arc(twist, gamma), image, C)
 
             half = 2 * N * max(w.length(), 1) + 2
             assert _outcome(lambda: key_lemma_interval(w, C, gamma, N)) == \

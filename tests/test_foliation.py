@@ -16,15 +16,12 @@ from fdtc.foliation import (
     ceiling_average_infimum,
     elliptic_point_bounds,
     multi_point_bounds,
-    ot_complexity_interpret,
-    overtwisted_disc_graph,
     self_linking,
     transverse_ot_disc_check,
-    trivial_disc_graph,
     validate_graph,
 )
 
-from conftest import replace
+from conftest import overtwisted_disc_graph, replace, trivial_disc_graph
 
 
 def closed_torus_graph():
@@ -113,10 +110,6 @@ class TestSelfLinking:
     def test_overtwisted_disc_value(self):
         g = overtwisted_disc_graph(3)
         assert self_linking(g.counts()) == 1
-
-    def test_closed_rejected(self):
-        with pytest.raises(FoliationError):
-            self_linking(SingularityCounts(1, 1, 1, 1), closed=True)
 
 
 class TestEllipticPointBounds:
@@ -335,24 +328,6 @@ class TestBcAnnulusWitness:
 
     def test_plain_tiles_no_witness(self):
         assert bc_annulus_witness_check(trivial_disc_graph()) is None
-
-
-class TestComplexityInterpretation:
-    def test_trichotomy(self):
-        assert "tight" in ot_complexity_interpret(0)
-        assert ot_complexity_interpret(1) == \
-            "overtwisted; monodromy not right-veering"
-        assert ot_complexity_interpret(2) == \
-            "overtwisted; monodromy right-veering"
-        assert ot_complexity_interpret(7) == ot_complexity_interpret(2)
-
-    def test_upper_bound_disjunction(self):
-        out = ot_complexity_interpret(1, is_upper_bound=True)
-        assert "tight" in out and "not right-veering" in out
-
-    def test_negative_rejected(self):
-        with pytest.raises(FoliationError):
-            ot_complexity_interpret(-1)
 
 
 class TestJsonRoundtrip:
