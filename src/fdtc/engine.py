@@ -17,12 +17,13 @@ replayed flip is two sums, one comparison and a difference; the inverse
 renaming is worked out once per encoding.  Composition, inversion and
 powers push every renaming to the end by renaming the edge ids of the
 steps behind it.  ``compose`` walks a list of encodings once, reading
-each through the renaming so far.  The k-th power of a twist core is
-one twist run; any other power repeats and cuts the copy cycle of its
-core (the copies up to the period of the core's renaming), which the
-core keeps, as it keeps its inverse.  No script longer than
-``_SCRIPT_CAP`` steps is built: asking for one raises ComputationError
-with its length and the cap.
+each through a running table of the inverse renaming so far, which
+each encoding's own inverse renaming advances by one read.  The k-th
+power of a twist core is one twist run; any other power repeats and
+cuts the copy cycle of its core (the copies up to the period of the
+core's renaming), which the core keeps, as it keeps its inverse.  No
+script longer than ``_SCRIPT_CAP`` steps is built: asking for one
+raises ComputationError with its length and the cap.
 
 A Dehn twist along a simple closed curve is compiled into such a script:
 flip until the curve crosses just two edges once each (so two triangles
@@ -128,11 +129,14 @@ def _twist_run(w, run):
 def _read_through(steps, table):
     """The steps with every edge id x replaced by table[x]; a twist run
     keeps its count."""
-    return tuple(
-        (table[e], table[a], table[b], table[c], table[d])
-        if type(step) is tuple else
-        TwistRun((table[e], table[a], table[b], table[c], d))
-        for step in steps for e, a, b, c, d in (step,))
+    out = []
+    for step in steps:
+        e, a, b, c, d = step
+        if type(step) is tuple:
+            out.append((table[e], table[a], table[b], table[c], table[d]))
+        else:
+            out.append(TwistRun((table[e], table[a], table[b], table[c], d)))
+    return out
 
 
 def _undone(steps):
@@ -169,10 +173,9 @@ class Encoding:
     each a flip (e, a, b, c, d) or a ``TwistRun``, then the edge
     renaming ``perm``.
 
-    The inverse renaming, the inverse encoding, the stretches of flips
-    between twist runs and the copy cycle of ``power`` are filled in on
-    first use and kept, so a letter core in the letter cache computes
-    each of them once."""
+    The inverse encoding, the stretches of flips between twist runs and
+    the copy cycle of ``power`` are filled in on first use and kept, so a
+    letter core in the letter cache computes each of them once."""
 
     __slots__ = ("steps", "perm", "_unrename", "_inverted", "_segments",
                  "_cycle")
@@ -180,7 +183,8 @@ class Encoding:
     def __init__(self, steps, perm=None):
         self.steps = tuple(steps)
         self.perm = _renaming(perm)
-        self._unrename = self._inverted = self._segments = self._cycle = None
+        self._unrename = None if self.perm is None else _inverse(self.perm)
+        self._inverted = self._segments = self._cycle = None
 
     def forward(self, w):
         w = list(w)
@@ -196,9 +200,7 @@ class Encoding:
                 w[e] = x
             if run is not None:
                 _twist_run(w, run)
-        if self.perm is not None:
-            if self._unrename is None:
-                self._unrename = _inverse(self.perm)
+        if self._unrename is not None:
             w = [w[old] for old in self._unrename]
         return tuple(w)
 
@@ -263,19 +265,23 @@ class Encoding:
 
 def compose(encodings) -> Encoding:
     """The encodings one after another, as one Encoding.  Each one's steps
-    are read through the renamings of those before it, and the renamings
-    combine into one at the end.  A script longer than _SCRIPT_CAP steps
+    are read through a running table of the inverse of the renamings
+    before it, which an encoding with a renaming advances by one read of
+    its own inverse; the table is inverted once at the end.  The whole
+    length is checked once, first: a script longer than _SCRIPT_CAP steps
     raises ComputationError before anything is built."""
     encodings = tuple(encodings)
-    _check_length(sum(len(enc.steps) for enc in encodings))
-    steps, perm, unrename = [], None, None
+    _check_length(sum([len(enc.steps) for enc in encodings]))
+    steps, unrename = [], None
     for enc in encodings:
-        steps.extend(enc.steps if unrename is None
-                     else _read_through(enc.steps, unrename))
-        if enc.perm is not None:
-            perm = _then(perm, enc.perm)
-            unrename = perm and _inverse(perm)
-    return Encoding(steps, perm)
+        if unrename is None:
+            steps += enc.steps
+            unrename = enc._unrename
+        else:
+            steps += _read_through(enc.steps, unrename)
+            if enc._unrename is not None:
+                unrename = [unrename[u] for u in enc._unrename]
+    return Encoding(steps, unrename and _inverse(unrename))
 
 
 def _flip_blocks(step, v, m):
@@ -622,15 +628,14 @@ def letter_parts(tri: Triangulation, kind: str, x, k: int) -> tuple:
     weights, label or pair index); () when k = 0.  Twist weights not yet
     compiled are checked against the matching conditions, whatever k."""
     key = (kind, tuple(x) if kind == "twist" else x)
-    if kind == "twist" and key not in tri._cache.get("letters", {}):
-        if not _curves.is_matching(_curves.NormalCoordinates(tri, key[1])):
-            raise CurveError("curve weights violate the matching conditions")
+    letter = tri._cache.get("letters", {}).get(key)
+    if letter is None and kind == "twist" and not _curves.is_matching(
+            _curves.NormalCoordinates(tri, key[1])):
+        raise CurveError("curve weights violate the matching conditions")
     if not k:
         return ()
-    conj, core, conj_inv = _letter(tri, key)
-    parts = conj, core.power(k), conj_inv
-    _check_length(sum(len(enc.steps) for enc in parts))
-    return parts
+    conj, core, conj_inv = letter or _letter(tri, key)
+    return conj, core if k == 1 else core.power(k), conj_inv
 
 
 def boundary_twist_encoding(tri: Triangulation, label: str,

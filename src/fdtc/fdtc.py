@@ -53,6 +53,7 @@ laps, and a sweep to N_max is no longer quadratic in N_max.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ComputationError, CurveError, InconsistentDataError, WordError
 from .surface import Record, denominator_bound
@@ -141,9 +142,9 @@ class FDTCResult(Record):
 
 
 def _drag_chain(gamma: curves.ArcClass, C: str, sign: int):
-    """(chain, lap, offset): chain[j] is the weights of T_C^(sign*j)(gamma),
-    the compiled boundary letter replayed j times, continued until one
-    application adds exactly ``lap`` = k copies of the boundary-parallel
+    """(chain, lap, offset): chain[j] is the arc T_C^(sign*j)(gamma), built
+    once from the compiled boundary letter replayed j times, continued until
+    one application adds exactly ``lap`` = k copies of the boundary-parallel
     curve, k being the number of endpoints of gamma on C.  From there on
     every application adds one whole lap per endpoint with nothing to
     cancel, so the powers are affine.  For a probe arc that does not
@@ -167,24 +168,25 @@ def _drag_chain(gamma: curves.ArcClass, C: str, sign: int):
         else:
             raise ComputationError("twists of the probe arc did not settle "
                                    "into whole laps")
-        once = curves.ArcClass(curves.NormalCoordinates(tri, chain[1]),
-                               gamma.start)
-        offset = curves.collar_laps(once, sign * POSITIVE_DRAG_DIRECTION)
-        tri._cache[key] = (tuple(chain), lap, offset)
+        arcs = tuple(curves.ArcClass(curves.NormalCoordinates(tri, x),
+                                     gamma.start) for x in chain)
+        offset = curves.collar_laps(arcs[1], sign * POSITIVE_DRAG_DIRECTION)
+        tri._cache[key] = (arcs, lap, offset)
     return tri._cache[key]
 
 
 def _boundary_power_arc(gamma: curves.ArcClass, C: str,
                         m: int) -> curves.ArcClass:
-    """T_C^m(gamma) in closed form: read off the chain of boundary
-    twist powers and continued affinely by whole laps.  The twist fixes
-    the boundary pointwise, so the start slot is gamma's."""
+    """T_C^m(gamma) in closed form: the arc kept in the chain of boundary
+    twist powers, or the last one continued affinely by whole laps.  The
+    twist fixes the boundary pointwise, so the start slot is gamma's."""
     if m == 0:
         return gamma
     chain, lap, _offset = _drag_chain(gamma, C, 1 if m > 0 else -1)
     extra = abs(m) - len(chain) + 1
-    weights = chain[abs(m)] if extra <= 0 else \
-        [a + extra * b for a, b in zip(chain[-1], lap)]
+    if extra <= 0:
+        return chain[abs(m)]
+    weights = [a + extra * b for a, b in zip(chain[-1].coords.weights, lap)]
     return curves.ArcClass(curves.NormalCoordinates(gamma.tri, weights),
                            gamma.start)
 
@@ -282,20 +284,21 @@ def _point(x: Fraction) -> RationalInterval:
 
 def bounded_denominator_candidates(interval: RationalInterval, D: int) -> list:
     """All reduced rationals with denominator <= D in the interval,
-    sorted increasingly: for each q <= D, the numerators p from
-    ceil(lo q) to floor(hi q), one step in at an open end that p/q hits
-    exactly."""
+    sorted increasingly: for each q <= D, the numerators p prime to q
+    from ceil(lo q) to floor(hi q), one step in at an open end that p/q
+    hits exactly.  Only the rationals found are made Fractions."""
     if D < 1:
         raise ComputationError("denominator bound must be positive")
-    lo, hi = interval.lo, interval.hi
-    found = set()
+    a, b = interval.lo.numerator, interval.lo.denominator
+    c, d = interval.hi.numerator, interval.hi.denominator
+    found = []
     for q in range(1, D + 1):
-        first, r = divmod(lo.numerator * q, lo.denominator)
+        first, r = divmod(a * q, b)
         first += bool(r) or not interval.lo_closed
-        last, r = divmod(hi.numerator * q, hi.denominator)
+        last, r = divmod(c * q, d)
         last -= not (r or interval.hi_closed)
-        found.update(Fraction(p, q) for p in range(first, last + 1))
-    return sorted(found)
+        found += [(p, q) for p in range(first, last + 1) if gcd(p, q) == 1]
+    return sorted(Fraction(p, q) for p, q in found)
 
 
 def unique_bounded_denominator(interval: RationalInterval, D: int):
@@ -406,7 +409,10 @@ def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
                 "word permutes punctures; use braid_fdtc, which normalizes "
                 "by the permutation order"
             )
-    D = denominator_bound(spec.fold_punctures()).value
+    D = tri._cache.get("denominator_bound")
+    if D is None:  # a constant of the surface, kept with its triangulation
+        D = denominator_bound(spec.fold_punctures()).value
+        tri._cache["denominator_bound"] = D
     N = key_lemma_power(D)
     gamma = _first_probe_arc(tri, C)
     settled = None

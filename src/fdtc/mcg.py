@@ -41,7 +41,8 @@ class Generator(Record):
     def twist(curve_weights, power: int = 1) -> "Generator":
         curve = tuple(curve_weights)
         for x in curve:
-            checked_type(x, int, "curve weight", WordError)
+            if type(x) is not int:
+                checked_type(x, int, "curve weight", WordError)
         return Generator("twist", power, curve=curve)
 
     @staticmethod
@@ -69,38 +70,50 @@ class Generator(Record):
         return {"braid": self.index, "power": self.power}
 
 
+def _cancelled(generators) -> tuple:
+    """The letters with adjacent equal ones merged, and dropped where
+    their powers cancel."""
+    gens = []
+    for g in generators:
+        if g.power == 0:
+            continue
+        if gens and gens[-1]._same_letter(g):
+            merged = gens.pop()
+            total = merged.power + g.power
+            if total:
+                gens.append(Generator(g.kind, total, g.curve, g.label, g.index))
+            continue
+        gens.append(g)
+    return tuple(gens)
+
+
 class MappingClassWord:
     """A mapping class on a fixed triangulation, as a generator word.
 
     The rightmost generator acts first.  ``generators`` is kept in
     application order as written, with adjacent mutually-inverse letters
-    cancelled at construction time.
+    cancelled at construction time.  Letters are checked once, where they
+    enter: the words that ``compose``, ``invert``, ``power`` and
+    ``boundary_split`` build from checked letters are not checked again.
     """
 
     def __init__(self, tri: Triangulation, generators=()):
         self.tri = tri
-        gens = []
-        for g in generators:
-            self._check(g)
-            if g.power == 0:
-                continue
-            if gens and gens[-1]._same_letter(g):
-                merged = gens.pop()
-                total = merged.power + g.power
-                if total:
-                    gens.append(Generator(
-                        g.kind, total, g.curve, g.label, g.index
-                    ))
-                continue
-            gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = _cancelled([self._check(g) for g in generators])
         self._encoding = None
         self._orbit = None  # (gamma, n, w^n(gamma)) of the last orbit_arc
         self._splits = {}  # label -> boundary_split(label)
 
+    def _word(self, generators) -> "MappingClassWord":
+        """The word on self.tri of letters already checked there."""
+        w = MappingClassWord(self.tri)
+        w.generators = _cancelled(generators)
+        return w
+
     # -- construction checks ----------------------------------------------
 
-    def _check(self, g: Generator):
+    def _check(self, g: Generator) -> Generator:
+        """g, once checked against the triangulation."""
         tri = self.tri
         checked_type(g.power, int, "power", WordError)
         if g.kind == "twist":
@@ -117,6 +130,7 @@ class MappingClassWord:
                 raise WordError("braid index %r out of range" % (g.index,))
         else:
             raise WordError("unknown generator kind %r" % (g.kind,))
+        return g
 
     # -- group operations --------------------------------------------------
 
@@ -124,19 +138,14 @@ class MappingClassWord:
         """self after other (other acts first)."""
         if self.tri is not other.tri:
             raise WordError("words live on different triangulations")
-        return MappingClassWord(self.tri, self.generators + other.generators)
+        return self._word(self.generators + other.generators)
 
     def invert(self) -> "MappingClassWord":
-        return MappingClassWord(
-            self.tri, [g.inverted() for g in reversed(self.generators)]
-        )
+        return self._word([g.inverted() for g in reversed(self.generators)])
 
     def power(self, k: int) -> "MappingClassWord":
-        if k == 0:
-            return MappingClassWord(self.tri)
-        base = self if k > 0 else self.invert()
-        gens = base.generators * abs(k)
-        return MappingClassWord(self.tri, gens)
+        base = self if k >= 0 else self.invert()
+        return self._word(base.generators * abs(k))
 
     def boundary_split(self, label: str):
         """(rest, k): the word without its boundary letters of ``label``
@@ -153,7 +162,7 @@ class MappingClassWord:
             # None: the word is its own rest, kept out of a reference
             # cycle with its own cache
             self._splits[label] = (
-                MappingClassWord(self.tri, rest)
+                self._word(rest)
                 if len(rest) < len(self.generators) else None, k)
         rest, k = self._splits[label]
         return self if rest is None else rest, k

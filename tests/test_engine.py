@@ -813,7 +813,8 @@ class TestScriptCap:
     def test_word(self, monkeypatch):
         # each letter fits under the cap, the word does not; a twist
         # letter's power is one step at any power, so the long letters
-        # are boundary rotations
+        # are boundary rotations.  The word's length is checked once,
+        # before any letter's steps are read into its script
         tri = standard_triangulation(SurfaceSpec(1, ("S",)))
         monkeypatch.setattr(engine, "_SCRIPT_CAP", 50)
         gens = [Generator.boundary("S", 8), Generator.twist(TORUS_A, 30),
@@ -821,9 +822,13 @@ class TestScriptCap:
         w = MappingClassWord(tri, gens)
         n = sum(len(_letter_encoding(tri, g).steps) for g in gens)
         assert max(len(_letter_encoding(tri, g).steps) for g in gens) <= 50
+        read = []
+        monkeypatch.setattr(engine, "_read_through",
+                            lambda steps, table: read.append(steps))
         with pytest.raises(ComputationError, match=(
-                "script of %d flips exceeds the cap of 50" % n)):
+                "^script of %d flips exceeds the cap of 50$" % n)):
             w.encoding()
+        assert read == [] and w._encoding is None
 
 
 class TestKeyLemmaReplay:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fdtc.errors import WordError
 from fdtc import curves
 from fdtc.curves import NormalCoordinates, enumerate_arcs
+from fdtc.surface import standard_triangulation
 from fdtc.mcg import (
     Generator,
     MappingClassWord,
@@ -79,6 +81,68 @@ class TestWordConstruction:
         w = MappingClassWord(torus_tri, [
             Generator.twist(TORUS_A, 2), Generator.twist(TORUS_B, -3)])
         assert w.length() == 5
+
+
+class TestLettersCheckedOnce:
+    """A letter is checked where a caller hands it in.  The words that
+    compose, invert, power and boundary_split build from checked letters
+    are not checked again, and equal the words the constructor builds
+    from the same letters."""
+
+    def test_derived_words_check_nothing(self, two_holed_torus_tri,
+                                         monkeypatch):
+        tri = two_holed_torus_tri
+        letters = [Generator.boundary("C1", 2), Generator.twist(TWO_HOLED_A),
+                   Generator.boundary("C2", -1),
+                   Generator.twist(TWO_HOLED_A, -3), Generator.boundary("C1")]
+        calls = []
+        check = MappingClassWord._check
+        monkeypatch.setattr(MappingClassWord, "_check",
+                            lambda self, g: calls.append(g) or check(self, g))
+        w = MappingClassWord(tri, letters)
+        u = MappingClassWord(tri, letters[1:3])
+        assert calls == letters + letters[1:3]
+        calls.clear()
+        derived = [w.compose(u), w.invert(), w.power(3), w.power(-2),
+                   w.power(0), w.boundary_split("C1")[0],
+                   w.boundary_split("C2")[0]]
+        assert calls == []
+        gens = w.generators
+        inverse = [g.inverted() for g in reversed(gens)]
+        for word, want in zip(derived, [
+                gens + u.generators, inverse, gens * 3, inverse * 2, (),
+                [g for g in gens if g.label != "C1"],
+                [g for g in gens if g.label != "C2"]]):
+            assert word.tri is tri
+            assert word.generators == MappingClassWord(tri, want).generators
+
+    @pytest.mark.parametrize("fixture,letter,message", [
+        ("torus_tri", Generator.twist((1, 0, 1), 1),
+         "twist curve does not live on this triangulation"),
+        ("torus_tri", Generator.boundary("Z"), "unknown boundary label 'Z'"),
+        ("torus_tri", Generator.braid(1),
+         "braid generators need at least 2 punctures"),
+        ("disc3_tri", Generator.braid(3), "braid index 3 out of range"),
+        ("disc3_tri", Generator.braid(0), "braid index 0 out of range"),
+        ("torus_tri", Generator.twist(TORUS_A, 2.0),
+         "power must be an integer, not 2.0"),
+        ("disc3_tri", Generator.braid(1, True),
+         "power must be an integer, not True"),
+    ])
+    def test_constructor_refuses_by_name(self, fixture, letter, message,
+                                         request):
+        tri = request.getfixturevalue(fixture)
+        ok = Generator.boundary(sorted(tri.base_edge_of)[0])
+        with pytest.raises(WordError, match="^%s$" % re.escape(message)):
+            MappingClassWord(tri, [ok, letter, ok])
+
+    def test_compose_across_triangulations(self, torus_tri):
+        # the letters would pass the checks on either triangulation
+        other = standard_triangulation(torus_tri.surface)
+        w = MappingClassWord(torus_tri, [Generator.twist(TORUS_A)])
+        with pytest.raises(WordError,
+                           match="^words live on different triangulations$"):
+            w.compose(MappingClassWord(other, [Generator.twist(TORUS_A)]))
 
 
 class TestBoundarySplit:
