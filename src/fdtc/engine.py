@@ -17,11 +17,12 @@ replayed flip is two sums, one comparison and a difference; the inverse
 renaming is worked out once per encoding.  Composition, inversion and
 powers push every renaming to the end by renaming the edge ids of the
 steps behind it.  ``compose`` walks a list of encodings once, reading
-each through a running table of the inverse renaming so far, which
-each encoding's own inverse renaming advances by one read.  The k-th
-power of a twist core is one twist run; any other power repeats and
-cuts the copy cycle of its core (the copies up to the period of the
-core's renaming), which the core keeps, as it keeps its inverse.  No
+the steps of each through a running table of the inverse renaming so
+far, which each encoding's own inverse renaming advances by one read.
+The k-th power of a twist core is one twist run; any other power
+repeats and cuts the copy cycle of its core (the copies up to the
+period of the core's renaming).  The core keeps that cycle, its inverse
+and whether it is a twist core, each worked out on first use.  No
 script longer than ``_SCRIPT_CAP`` steps is built: asking for one
 raises ComputationError with its length and the cap.
 
@@ -173,18 +174,21 @@ class Encoding:
     each a flip (e, a, b, c, d) or a ``TwistRun``, then the edge
     renaming ``perm``.
 
-    The inverse encoding, the stretches of flips between twist runs and
-    the copy cycle of ``power`` are filled in on first use and kept, so a
-    letter core in the letter cache computes each of them once."""
+    The inverse encoding, the stretches of flips between twist runs, the
+    copy cycle of ``power`` and whether the encoding is an annular twist
+    core (``_twist``, False until decided) are filled in on first use and
+    kept, so a letter core in the letter cache computes each of them
+    once."""
 
     __slots__ = ("steps", "perm", "_unrename", "_inverted", "_segments",
-                 "_cycle")
+                 "_cycle", "_twist")
 
     def __init__(self, steps, perm=None):
         self.steps = tuple(steps)
         self.perm = _renaming(perm)
         self._unrename = None if self.perm is None else _inverse(self.perm)
         self._inverted = self._segments = self._cycle = None
+        self._twist = False
 
     def forward(self, w):
         w = list(w)
@@ -222,16 +226,18 @@ class Encoding:
     def annular_twist(self):
         """(e, x, a, c) when this encoding is an annular twist core: the
         one flip (e, a, x, c, x), then the swap of e and x, with a and c
-        outside {e, x}; else None."""
-        if (len(self.steps) != 1 or type(self.steps[0]) is not tuple
-                or self.perm is None):
-            return None
-        e, a, x, c, y = self.steps[0]
-        if y != x or x == e or {a, c} & {e, x}:
-            return None
-        swap = list(range(len(self.perm)))
-        swap[e], swap[x] = x, e
-        return (e, x, a, c) if self.perm == tuple(swap) else None
+        outside {e, x}; else None.  Decided once per encoding."""
+        if self._twist is False:
+            self._twist = None
+            if (len(self.steps) == 1 and type(self.steps[0]) is tuple
+                    and self.perm is not None):
+                e, a, x, c, y = self.steps[0]
+                if y == x and x != e and not {a, c} & {e, x}:
+                    swap = list(range(len(self.perm)))
+                    swap[e], swap[x] = x, e
+                    if self.perm == tuple(swap):
+                        self._twist = (e, x, a, c)
+        return self._twist
 
     def power(self, k: int) -> "Encoding":
         """self repeated k times (the inverse repeated -k times if k < 0).
@@ -264,10 +270,10 @@ class Encoding:
 
 
 def compose(encodings) -> Encoding:
-    """The encodings one after another, as one Encoding.  Each one's steps
-    are read through a running table of the inverse of the renamings
-    before it, which an encoding with a renaming advances by one read of
-    its own inverse; the table is inverted once at the end.  The whole
+    """The encodings one after another, as one Encoding.  Each one's steps,
+    if it has any, are read through a running table of the inverse of the
+    renamings before it, which an encoding with a renaming advances by one
+    read of its own inverse; the table is inverted once at the end.  The whole
     length is checked once, first: a script longer than _SCRIPT_CAP steps
     raises ComputationError before anything is built."""
     encodings = tuple(encodings)
@@ -278,7 +284,8 @@ def compose(encodings) -> Encoding:
             steps += enc.steps
             unrename = enc._unrename
         else:
-            steps += _read_through(enc.steps, unrename)
+            if enc.steps:
+                steps += _read_through(enc.steps, unrename)
             if enc._unrename is not None:
                 unrename = [unrename[u] for u in enc._unrename]
     return Encoding(steps, unrename and _inverse(unrename))

@@ -18,6 +18,14 @@ coefficient 0 and keeps the order at the base point, is the same at N1
 and at N (``_bracket_from_first``).  Integer values, and half-integer
 ones when D is even, are so read off N1 replays of w instead of N.
 
+A bracket stays integers from the search to the report: the search
+returns the ends lo <= hi of [lo/N, hi/N] (lo == hi for the point), the
+candidates p/q and the closed form above run on them with ceil, floor
+and gcd, and M is the integer lo itself.  ``fdtc_exact`` makes its
+Fractions and its one ``RationalInterval`` for the result only;
+``key_lemma_interval`` is the public wrapper that makes them for one
+bracket.
+
 The twist T_C along the boundary is central among the mapping classes
 that fix the boundary pointwise: f T_C f^-1 = T_f(C) = T_C.  So a word
 splits as phi = T_C^k rest (``MappingClassWord.boundary_split``) and
@@ -53,6 +61,7 @@ laps, and a sweep to N_max is no longer quadratic in N_max.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .errors import ComputationError, CurveError, InconsistentDataError, WordError
@@ -220,12 +229,14 @@ def key_lemma_interval(w: MappingClassWord, C: str, gamma: curves.ArcClass,
         raise CurveError("probe arc must start on %r" % (C,))
     if not curves.is_essential(gamma):
         raise CurveError("Key Lemma requires essential arc")
-    return _key_lemma_search(w, C, gamma, N)
+    return _interval(*_key_lemma_search(w, C, gamma, N), N)
 
 
 def _key_lemma_search(w: MappingClassWord, C: str, gamma: curves.ArcClass,
-                      N: int) -> RationalInterval:
-    """The search of ``key_lemma_interval``, on arguments it has checked."""
+                      N: int) -> tuple[int, int]:
+    """The search of ``key_lemma_interval``, on arguments it has checked:
+    the integer ends (lo, hi) of the bracket [lo/N, hi/N], shifted by kN,
+    with hi = lo + 1, or lo == hi for the point."""
     rest, k = w.boundary_split(C)
     phi_arc = rest.orbit_arc(gamma, N)
     half = 2 * N * max(rest.length(), 1) + 2
@@ -238,7 +249,7 @@ def _key_lemma_search(w: MappingClassWord, C: str, gamma: curves.ArcClass,
         rel = curves.compare_at_base(_boundary_power_arc(gamma, C, m),
                                      phi_arc, C)
         if rel is curves.Ordering.EQUAL:
-            return _point(Fraction(m + k * N, N))
+            return m + k * N, m + k * N
         went_up = rel is curves.Ordering.RIGHT_OF
         if went_up:
             if m == half:
@@ -270,35 +281,45 @@ def _key_lemma_search(w: MappingClassWord, C: str, gamma: curves.ArcClass,
             galloping = False
             m = (lo + hi) // 2
         m = min(max(m, lo + 1), hi - 1)
-    return RationalInterval(Fraction(lo + k * N, N), Fraction(hi + k * N, N),
-                            True, True)
+    return lo + k * N, hi + k * N
 
 
-def _point(x: Fraction) -> RationalInterval:
-    return RationalInterval(x, x, True, True)
+def _interval(lo: int, hi: int, N: int) -> RationalInterval:
+    """The closed interval [lo/N, hi/N]."""
+    x = Fraction(lo, N)
+    return RationalInterval(x, x if lo == hi else Fraction(hi, N))
 
 
 # ---------------------------------------------------------------------------
 # bounded-denominator recovery, by its definition: each q <= D in turn
 
 
-def bounded_denominator_candidates(interval: RationalInterval, D: int) -> list:
-    """All reduced rationals with denominator <= D in the interval,
-    sorted increasingly: for each q <= D, the numerators p prime to q
-    from ceil(lo q) to floor(hi q), one step in at an open end that p/q
-    hits exactly.  Only the rationals found are made Fractions."""
-    if D < 1:
-        raise ComputationError("denominator bound must be positive")
-    a, b = interval.lo.numerator, interval.lo.denominator
-    c, d = interval.hi.numerator, interval.hi.denominator
-    found = []
+def _reduced_between(a: int, b: int, c: int, d: int, D: int,
+                     lo_closed: bool = True, hi_closed: bool = True):
+    """The pairs (p, q) with q <= D, p prime to q and a/b <= p/q <= c/d
+    (b, d > 0), by increasing q: for each q the numerators from
+    ceil(a q / b) to floor(c q / d), one step in at an open end that p/q
+    hits exactly."""
     for q in range(1, D + 1):
         first, r = divmod(a * q, b)
-        first += bool(r) or not interval.lo_closed
+        first += bool(r) or not lo_closed
         last, r = divmod(c * q, d)
-        last -= not (r or interval.hi_closed)
-        found += [(p, q) for p in range(first, last + 1) if gcd(p, q) == 1]
-    return sorted(Fraction(p, q) for p, q in found)
+        last -= not (r or hi_closed)
+        for p in range(first, last + 1):
+            if gcd(p, q) == 1:
+                yield p, q
+
+
+def bounded_denominator_candidates(interval: RationalInterval, D: int) -> list:
+    """All reduced rationals with denominator <= D in the interval,
+    sorted increasingly (``_reduced_between``).  Only the rationals found
+    are made Fractions."""
+    if D < 1:
+        raise ComputationError("denominator bound must be positive")
+    lo, hi = interval.lo, interval.hi
+    return sorted(Fraction(p, q) for p, q in _reduced_between(
+        lo.numerator, lo.denominator, hi.numerator, hi.denominator, D,
+        interval.lo_closed, interval.hi_closed))
 
 
 def unique_bounded_denominator(interval: RationalInterval, D: int):
@@ -351,9 +372,10 @@ def _without_essential_arc(tri, C: str) -> bool:
         and spec.puncture_count <= 1
 
 
-def _bracket_from_first(first: RationalInterval, D: int, N: int):
-    """(c, the bracket at N) read off the bracket ``first`` at
-    N1 = D + 1 < N, or None when it leaves the bracket at N open.
+def _bracket_from_first(lo1: int, hi1: int, N1: int, D: int, N: int):
+    """(p, q, lo, hi), c = p/q and the bracket [lo/N, hi/N] at N, read
+    off the first bracket [lo1/N1, hi1/N1] at N1 = D + 1 < N, or None
+    when it leaves the bracket at N open.  All in integers.
 
     Every bracket holds c, whose denominator is at most D, so a first
     bracket with one such candidate pins c.  When Nc is not an integer, c
@@ -371,19 +393,19 @@ def _bracket_from_first(first: RationalInterval, D: int, N: int):
     T_C^(N1 c)(gamma) > w^N1(gamma), so M = Nc at N and the bracket is
     [c, c + 1/N]; c its upper end gives M = Nc - 1 and [c - 1/N, c].
     c strictly inside the first bracket decides nothing at N."""
-    cands = bounded_denominator_candidates(first, D)
-    if len(cands) != 1:
+    found = list(islice(_reduced_between(lo1, N1, hi1, N1, D), 2))
+    if len(found) != 1:
         return None
-    c = cands[0]
-    M, r = divmod(c.numerator * N, c.denominator)
+    (p, q), = found
+    M, r = divmod(p * N, q)
     if r:
-        return c, RationalInterval(Fraction(M, N), Fraction(M + 1, N))
-    if first.is_point:
-        return c, _point(c)
-    if c == first.lo:
-        return c, RationalInterval(c, c + Fraction(1, N))
-    if c == first.hi:
-        return c, RationalInterval(c - Fraction(1, N), c)
+        return p, q, M, M + 1
+    if lo1 == hi1:
+        return p, q, M, M
+    if p * N1 == lo1 * q:
+        return p, q, M, M + 1
+    if p * N1 == hi1 * q:
+        return p, q, M - 1, M
     return None
 
 
@@ -399,7 +421,7 @@ def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
     the bracket is the integer twist power itself."""
     tri = w.tri
     if _without_essential_arc(tri, C):
-        return FDTCResult(Fraction(0), _point(Fraction(0)),
+        return FDTCResult(Fraction(0), _interval(0, 0, 1),
                           "PeriodicityCorollary", N=1, M=0, D=1)
     spec = tri.surface
     if spec.puncture_count:
@@ -418,22 +440,23 @@ def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
     settled = None
     if D + 1 < N:
         settled = _bracket_from_first(
-            _key_lemma_search(w, C, gamma, D + 1), D, N)
+            *_key_lemma_search(w, C, gamma, D + 1), D + 1, D, N)
     if settled:
-        val, interval = settled
+        p, q, M, hi = settled
+        val, interval, point = Fraction(p, q), _interval(M, hi, N), M == hi
     else:
         interval = key_lemma_interval(w, C, gamma, N)
-        val = interval.lo
-        if not interval.is_point:
+        val, point = interval.lo, interval.is_point
+        M = val.numerator * N // val.denominator
+        if not point:
             val, report = unique_bounded_denominator(interval, D)
             if val is None:
                 raise InconsistentDataError(
                     "%s admissible rational in the bracketing interval"
                     % ("no" if report["status"] == "empty"
                        else "more than one"))
-    return FDTCResult(val, interval, "PeriodicityCorollary"
-                      if interval.is_point else "ExactTheorem",
-                      N=N, M=int(interval.lo * N), D=D)
+    return FDTCResult(val, interval, "PeriodicityCorollary" if point
+                      else "ExactTheorem", N=N, M=M, D=D)
 
 
 def braid_fdtc(w: MappingClassWord, C: str) -> FDTCResult:
@@ -458,7 +481,7 @@ def translation_estimate(w: MappingClassWord, C: str,
     if N_max < 1:
         raise ComputationError("N_max must be at least 1")
     if _without_essential_arc(w.tri, C):
-        return [_point(Fraction(0))] * N_max
+        return [_interval(0, 0, 1)] * N_max
     gamma = _first_probe_arc(w.tri, C)
     return [key_lemma_interval(w, C, gamma, n) for n in range(1, N_max + 1)]
 

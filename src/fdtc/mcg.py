@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import CurveError, WordError
-from .surface import Record, Triangulation, checked_type
+from .surface import Record, Triangulation, checked_type, set_field
 from . import curves
 from . import engine
 
@@ -35,7 +35,12 @@ class Generator(Record):
 
     def __init__(self, kind: str, power: int, curve: tuple = None,
                  label: str = None, index: int = None):
-        super().__init__(kind, power, curve, label, index)
+        # by name: a word makes one record per letter
+        set_field(self, "kind", kind)
+        set_field(self, "power", power)
+        set_field(self, "curve", curve)
+        set_field(self, "label", label)
+        set_field(self, "index", index)
 
     @staticmethod
     def twist(curve_weights, power: int = 1) -> "Generator":

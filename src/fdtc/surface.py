@@ -20,19 +20,24 @@ from __future__ import annotations
 from .errors import TriangulationError
 
 
+# set_field(record, name, value) sets a field past Record.__setattr__,
+# which refuses every assignment
+set_field = object.__setattr__
+
+
 class Record:
     """A read-only record of the fields named in ``__slots__``, which
     ``Record.__init__`` sets in order: equal to a record of its class with
     equal fields, hashed, shown and written to JSON by its fields, as a
     frozen dataclass is, and copied or pickled field by field.  A record
     class checks its arguments in its own ``__init__`` and passes the
-    field values on to this one."""
+    field values on to this one, or sets them by name with ``set_field``."""
 
     __slots__ = ()
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+            set_field(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, k) for k in self.__slots__])

@@ -121,6 +121,11 @@ def annulus_tri():
 
 
 @pytest.fixture(scope="session")
+def pants_tri():
+    return standard_triangulation(SurfaceSpec(0, ("C1", "C2", "C3")))
+
+
+@pytest.fixture(scope="session")
 def disc2_tri():
     return standard_triangulation(SurfaceSpec(0, ("C",), 2))
 

@@ -794,6 +794,78 @@ class TestTwistRuns:
                     else:
                         assert core.power(k).forward(v) == want
 
+    def test_power_by_core_kind(self, torus_tri, disc3_tri):
+        # a twist core's power is one twist run; a boundary rotation's and
+        # a half twist core's are built copy by copy, as the left fold
+        twist = engine.letter_parts(torus_tri, "twist", TORUS_A, 1)[1]
+        rotation = engine.letter_parts(torus_tri, "boundary", "S", 1)[1]
+        half = engine.letter_parts(disc3_tri, "braid", 1, 1)[1]
+        e, x, a, c = twist.annular_twist()
+        for k in (2, 7, 60):
+            assert twist.power(k).steps == ((e, x, a, c, k),)
+            assert type(twist.power(k).steps[0]) is engine.TwistRun
+            assert twist.power(k).perm is None
+        assert len(rotation.steps) > 1 and len(half.steps) == 3
+        for core in (rotation, half):
+            assert core.annular_twist() is None
+            for k in (2, 7, 60):
+                pk = core.power(k)
+                assert (pk.steps, pk.perm) == _fold([core] * k)
+                assert all(type(step) is tuple for step in pk.steps)
+
+    def test_core_decided_once_inverse_on_its_own(self, torus_tri):
+        # the decision is kept in a slot of the encoding, and an inverse
+        # makes its own: the inverse of the core (e, x, a, c) is the core
+        # (x, e, a, c), and a boundary rotation's inverse is no core
+        core = engine.letter_parts(torus_tri, "twist", TORUS_B, 1)[1]
+        enc = engine.Encoding(core.steps, core.perm)
+        assert enc._twist is False
+        e, x, a, c = twist = enc.power(3).steps[0][:4]
+        assert enc._twist == twist
+        inv = enc.inverted()
+        assert inv._twist is False
+        assert inv.power(3).steps == ((x, e, a, c, 3),)
+        assert inv._twist == (x, e, a, c)
+        assert enc.power(-3).steps == ((x, e, a, c, 3),)
+        rotation = engine.letter_parts(torus_tri, "boundary", "S", 1)[1]
+        rot = engine.Encoding(rotation.steps, rotation.perm)
+        rot.power(2)
+        assert rot._twist is None
+        assert rot.inverted()._twist is False
+        assert rot.inverted().annular_twist() is None
+
+
+class TestComposeParts:
+    """``compose`` reads only parts with steps through the running table;
+    a part that only renames still advances it."""
+
+    def test_empty_parts(self, torus_tri, monkeypatch):
+        core = engine.letter_parts(torus_tri, "twist", TORUS_A, 1)[1]
+        rotation = engine.letter_parts(torus_tri, "boundary", "S", 1)[1]
+        rename = engine.Encoding((), core.perm)
+        empty = engine.Encoding(())
+        calls = []
+        read_through = engine._read_through
+
+        def counted(steps, table):
+            calls.append(len(steps))
+            return read_through(steps, table)
+
+        monkeypatch.setattr(engine, "_read_through", counted)
+        probes = _probe_weights(torus_tri)
+        for parts in ((rename, empty, rotation), (core, empty, rename, empty,
+                                                   rotation, empty),
+                      (empty, rename, core), (rotation, rename, rename)):
+            calls.clear()
+            enc = engine.compose(parts)
+            assert (enc.steps, enc.perm) == _fold(parts)
+            assert 0 not in calls
+            for w in probes:
+                want = w
+                for part in parts:
+                    want = part.forward(want)
+                assert enc.forward(w) == want
+
 
 class TestScriptCap:
     """Scripts longer than ``_SCRIPT_CAP`` steps are refused by name

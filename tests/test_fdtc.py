@@ -13,7 +13,7 @@ from fdtc.curves import (
     Ordering, boundary_drag, compare_at_base, enumerate_arcs,
 )
 from fdtc.engine import POSITIVE_DRAG_DIRECTION
-from fdtc.mcg import Generator, MappingClassWord
+from fdtc.mcg import Generator, MappingClassWord, puncture_permutation_order
 from fdtc.fdtc import (
     _boundary_power_arc,
     _bracket_from_first,
@@ -387,22 +387,35 @@ class TestFirstBracket:
         ("two_holed_torus_tri", "C2", (TWO_HOLED_A, TWO_HOLED_B,
                                        TWO_HOLED_C)),
         ("genus2_tri", "S", GENUS2_CHAIN),
+        ("annulus_tri", "C1", ()),
+        ("pants_tri", "C2", ()),
+        ("disc3_tri", "C", ()),
+        ("disc4_tri", "C", ()),
     ])
     def test_matches_bracket_at_N(self, fixture, C, twists, request):
+        # letters to powers up to +-60, after a shift T_C^s with |s| up to
+        # 10^9; on a punctured disc the braid letters are squared, so the
+        # words are pure braids and braid_fdtc brackets them as they are
         tri = request.getfixturevalue(fixture)
         letters = [Generator.twist(c) for c in twists] + \
-            [Generator.boundary(lab) for lab in tri.surface.boundary_labels]
+            [Generator.boundary(lab) for lab in tri.surface.boundary_labels] + \
+            [Generator.braid(i, 2)
+             for i in range(1, tri.surface.puncture_count)]
+        coefficient = braid_fdtc if tri.surface.puncture_count else fdtc_exact
+        powers = st.one_of(st.sampled_from((1, -1, 2, -3)),
+                           st.integers(-60, 60).filter(bool))
+        shifts = st.one_of(st.just(0), st.integers(-10 ** 9, 10 ** 9))
 
         @settings(max_examples=40, deadline=None)
-        @given(st.lists(st.tuples(st.sampled_from(letters),
-                                  st.sampled_from((1, -1, 2, -3))),
-                        min_size=1, max_size=6))
-        def check(word):
-            gens = [Generator(g.kind, p * g.power, g.curve, g.label, g.index)
-                    for (g, p) in word]
-            got = fdtc_exact(MappingClassWord(tri, gens), C)
-            want = _bracketed_at_N(MappingClassWord(tri, gens), C)
-            assert got == want
+        @given(st.lists(st.tuples(st.sampled_from(letters), powers),
+                        min_size=1, max_size=6), shifts)
+        def check(word, shift):
+            gens = [Generator.boundary(C, shift)] if shift else []
+            gens += [Generator(g.kind, p * g.power, g.curve, g.label,
+                               g.index) for (g, p) in word]
+            w = MappingClassWord(tri, gens)
+            assert puncture_permutation_order(w) == 1
+            assert coefficient(w, C) == _bracketed_at_N(w, C)
 
         check()
 
@@ -420,20 +433,25 @@ class TestFirstBracket:
          Fraction(0)),
     ])
     def test_derived_branches(self, first, c, lo, hi):
-        assert _bracket_from_first(RationalInterval(*first), 6, 31) == \
-            (c, RationalInterval(lo, hi))
+        # D = 6, N1 = 7, N = 31: the brackets as the integer ends of
+        # [lo1/7, hi1/7] and [lo/31, hi/31], and c as (p, q)
+        ends1 = [x * 7 for x in first]
+        ends = [lo * 31, hi * 31]
+        assert all(x.denominator == 1 for x in ends1 + ends)
+        lo1, hi1 = map(int, ends1)
+        assert _bracket_from_first(lo1, hi1, 7, 6, 31) == \
+            (c.numerator, c.denominator, *map(int, ends))
 
     def test_undecided(self):
-        # D = 10, N = 91 = 7 * 13, N1 = 11.  The bracket at 11 around
-        # c = 1/7 holds 1/10, ..., 1/6; a window holding c = 1/7 alone,
-        # strictly inside, says nothing at N, where 91 c = 13
+        # D = 10, N = 91 = 7 * 13, N1 = 11.  The bracket [1/11, 2/11]
+        # around c = 1/7 holds 1/10, ..., 1/6; a window of width 1/50
+        # holding c = 1/7 alone, strictly inside, says nothing at N, where
+        # 91 c = 13
         D, N = 10, 91
-        assert _bracket_from_first(
-            RationalInterval(Fraction(1, 11), Fraction(2, 11)), D, N) is None
-        alone = RationalInterval(Fraction(1, 7) - Fraction(1, 100),
-                                 Fraction(1, 7) + Fraction(1, 100))
+        assert _bracket_from_first(1, 2, 11, D, N) is None
+        alone = RationalInterval(Fraction(7, 50), Fraction(8, 50))
         assert bounded_denominator_candidates(alone, D) == [Fraction(1, 7)]
-        assert _bracket_from_first(alone, D, N) is None
+        assert _bracket_from_first(7, 8, 50, D, N) is None
 
     @pytest.mark.parametrize("letters,replays", [
         # c = 0 at the lower end of [0, 1/7]: w^7(gamma) only

@@ -135,6 +135,32 @@ class TestRecords:
                     a, b = a.triangles, b.triangles
                 assert repr(a) == repr(b)
 
+    def test_state_round_trip(self, case):
+        # copy and pickle hand __setstate__ the state (None, {slot: value});
+        # Record.__init__ sets the fields from it, whichever __init__ the
+        # class has
+        cls, args, _, _ = case
+        r = cls(*args)
+        reduced = r.__reduce_ex__(2)
+        assert reduced[2] == (None, {k: getattr(r, k) for k in cls.__slots__})
+        twin = cls.__new__(cls)
+        twin.__setstate__(reduced[2])
+        # a pickled triangulation is a new one, equal to no other
+        on_tri = any(isinstance(getattr(r, k), (Triangulation,
+                                                NormalCoordinates))
+                     for k in cls.__slots__)
+        twins = [twin, copy.copy(r)]
+        if not on_tri:
+            twins += [pickle.loads(pickle.dumps(r, protocol))
+                      for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is cls
+            assert twin == r and not twin != r
+            if cls.__name__ not in UNHASHABLE:
+                assert hash(twin) == hash(r)
+            with pytest.raises(AttributeError):
+                setattr(twin, cls.__slots__[0], None)
+
     def test_repr(self, case):
         cls, args, _, _ = case
         r = cls(*args)
