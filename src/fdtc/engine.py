@@ -219,10 +219,6 @@ class Encoding:
                                           _inverse(self.perm))
         return self._inverted
 
-    def __add__(self, other: "Encoding") -> "Encoding":
-        """self, then other."""
-        return compose((self, other))
-
     def annular_twist(self):
         """(e, x, a, c) when this encoding is an annular twist core: the
         one flip (e, a, x, c, x), then the swap of e and x, with a and c

@@ -26,6 +26,12 @@ Fractions and its one ``RationalInterval`` for the result only;
 ``key_lemma_interval`` is the public wrapper that makes them for one
 bracket.
 
+Every bracket is closed.  Its candidates p/q with q <= D come from one
+finder, ``_reduced_between``, of which ``_bracket_from_first`` and
+``unique_bounded_denominator`` each take two at most.  A bracket at N
+with no admissible rational, or with more than one, contradicts the Key
+Lemma and raises InconsistentDataError.
+
 The twist T_C along the boundary is central among the mapping classes
 that fix the boundary pointwise: f T_C f^-1 = T_f(C) = T_C.  So a word
 splits as phi = T_C^k rest (``MappingClassWord.boundary_split``) and
@@ -74,50 +80,27 @@ _PROBE_BOUND = 4
 
 
 class RationalInterval(Record):
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+    """The closed interval [lo, hi], a point when lo == hi: the Key Lemma
+    brackets c in closed intervals only.  Its JSON record names both ends
+    closed."""
 
-    def __init__(self, lo: Fraction, hi: Fraction, lo_closed: bool = True,
-                 hi_closed: bool = True):
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise InconsistentDataError("interval endpoints out of order")
-        if lo == hi and not (lo_closed and hi_closed):
-            raise InconsistentDataError("degenerate interval must be closed")
-        super().__init__(lo, hi, lo_closed, hi_closed)
+        super().__init__(lo, hi)
 
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, x) -> bool:
-        x = Fraction(x)
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def scaled(self, s) -> "RationalInterval":
-        s = Fraction(s)
-        if s < 0:
-            return RationalInterval(
-                self.hi * s, self.lo * s, self.hi_closed, self.lo_closed
-            )
-        return RationalInterval(
-            self.lo * s, self.hi * s, self.lo_closed, self.hi_closed
-        )
+        return self.lo <= x <= self.hi
 
     def to_json(self) -> dict:
-        return {
-            "lo": str(self.lo),
-            "hi": str(self.hi),
-            "lo_closed": self.lo_closed,
-            "hi_closed": self.hi_closed,
-        }
+        return {"lo": str(self.lo), "hi": str(self.hi),
+                "lo_closed": True, "hi_closed": True}
 
 
 class FDTCResult(Record):
@@ -294,45 +277,29 @@ def _interval(lo: int, hi: int, N: int) -> RationalInterval:
 # bounded-denominator recovery, by its definition: each q <= D in turn
 
 
-def _reduced_between(a: int, b: int, c: int, d: int, D: int,
-                     lo_closed: bool = True, hi_closed: bool = True):
+def _reduced_between(a: int, b: int, c: int, d: int, D: int):
     """The pairs (p, q) with q <= D, p prime to q and a/b <= p/q <= c/d
     (b, d > 0), by increasing q: for each q the numerators from
-    ceil(a q / b) to floor(c q / d), one step in at an open end that p/q
-    hits exactly."""
+    ceil(a q / b) to floor(c q / d)."""
     for q in range(1, D + 1):
-        first, r = divmod(a * q, b)
-        first += bool(r) or not lo_closed
-        last, r = divmod(c * q, d)
-        last -= not (r or hi_closed)
-        for p in range(first, last + 1):
+        for p in range(-(-a * q // b), c * q // d + 1):
             if gcd(p, q) == 1:
                 yield p, q
 
 
-def bounded_denominator_candidates(interval: RationalInterval, D: int) -> list:
-    """All reduced rationals with denominator <= D in the interval,
-    sorted increasingly (``_reduced_between``).  Only the rationals found
-    are made Fractions."""
-    if D < 1:
-        raise ComputationError("denominator bound must be positive")
+def unique_bounded_denominator(interval: RationalInterval, D: int) -> Fraction:
+    """The one reduced rational with denominator <= D in the interval.
+    ``_reduced_between`` is asked for two at most; none, or a second,
+    raises InconsistentDataError."""
     lo, hi = interval.lo, interval.hi
-    return sorted(Fraction(p, q) for p, q in _reduced_between(
-        lo.numerator, lo.denominator, hi.numerator, hi.denominator, D,
-        interval.lo_closed, interval.hi_closed))
-
-
-def unique_bounded_denominator(interval: RationalInterval, D: int):
-    """The unique rational with denominator <= D in the interval.
-
-    Returns (Fraction, None) on success, (None, report) otherwise, where
-    the report lists all candidates ("ambiguous") or none ("empty")."""
-    cands = bounded_denominator_candidates(interval, D)
-    if len(cands) == 1:
-        return cands[0], None
-    if not cands:
-        return None, {"status": "empty", "candidates": []}
-    return None, {"status": "ambiguous", "candidates": cands}
+    found = list(islice(_reduced_between(lo.numerator, lo.denominator,
+                                         hi.numerator, hi.denominator, D), 2))
+    if len(found) != 1:
+        raise InconsistentDataError(
+            "%s admissible rational in the bracketing interval"
+            % ("more than one" if found else "no"))
+    (p, q), = found
+    return Fraction(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +410,14 @@ def fdtc_exact(w: MappingClassWord, C: str) -> FDTCResult:
             *_key_lemma_search(w, C, gamma, D + 1), D + 1, D, N)
     if settled:
         p, q, M, hi = settled
-        val, interval, point = Fraction(p, q), _interval(M, hi, N), M == hi
+        val, interval = Fraction(p, q), _interval(M, hi, N)
     else:
         interval = key_lemma_interval(w, C, gamma, N)
-        val, point = interval.lo, interval.is_point
-        M = val.numerator * N // val.denominator
-        if not point:
-            val, report = unique_bounded_denominator(interval, D)
-            if val is None:
-                raise InconsistentDataError(
-                    "%s admissible rational in the bracketing interval"
-                    % ("no" if report["status"] == "empty"
-                       else "more than one"))
-    return FDTCResult(val, interval, "PeriodicityCorollary" if point
-                      else "ExactTheorem", N=N, M=M, D=D)
+        M = int(interval.lo * N)
+        val = interval.lo if interval.is_point \
+            else unique_bounded_denominator(interval, D)
+    return FDTCResult(val, interval, "PeriodicityCorollary"
+                      if interval.is_point else "ExactTheorem", N=N, M=M, D=D)
 
 
 def braid_fdtc(w: MappingClassWord, C: str) -> FDTCResult:
@@ -469,7 +430,8 @@ def braid_fdtc(w: MappingClassWord, C: str) -> FDTCResult:
         raise WordError("%r is not a boundary label" % (C,))
     m = puncture_permutation_order(w)
     res = fdtc_exact(w.power(m), C)
-    return FDTCResult(res.value / m, res.interval.scaled(Fraction(1, m)),
+    iv = res.interval
+    return FDTCResult(res.value / m, RationalInterval(iv.lo / m, iv.hi / m),
                       res.provenance, N=res.N, M=res.M, D=res.D)
 
 

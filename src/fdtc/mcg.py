@@ -24,23 +24,21 @@ class Generator(Record):
     boundary (a boundary twist) or braid (a braid half twist), raised to
     an integer power.
 
-    Exactly one of ``curve`` (normal coordinates of an essential simple
-    closed curve), ``label`` (boundary component) and ``index`` (1-based
-    adjacent puncture pair) is set, according to ``kind``.  ``twist``
-    and ``braid`` check that the weights and the index are integers, once
-    per letter; words built from the letter do not check them again.
+    ``target`` is what the letter twists along, the value
+    ``engine.letter_parts`` takes for its kind: the weight tuple of an
+    essential simple closed curve, a boundary label or a 1-based adjacent
+    puncture pair index.  ``twist`` and ``braid`` check that the weights
+    and the index are integers, once per letter; words built from the
+    letter do not check them again.
     """
 
-    __slots__ = ("kind", "power", "curve", "label", "index")
+    __slots__ = ("kind", "power", "target")
 
-    def __init__(self, kind: str, power: int, curve: tuple = None,
-                 label: str = None, index: int = None):
+    def __init__(self, kind: str, power: int, target):
         # by name: a word makes one record per letter
         set_field(self, "kind", kind)
         set_field(self, "power", power)
-        set_field(self, "curve", curve)
-        set_field(self, "label", label)
-        set_field(self, "index", index)
+        set_field(self, "target", target)
 
     @staticmethod
     def twist(curve_weights, power: int = 1) -> "Generator":
@@ -48,31 +46,24 @@ class Generator(Record):
         for x in curve:
             if type(x) is not int:
                 checked_type(x, int, "curve weight", WordError)
-        return Generator("twist", power, curve=curve)
+        return Generator("twist", power, curve)
 
     @staticmethod
     def boundary(label: str, power: int = 1) -> "Generator":
-        return Generator("boundary", power, label=label)
+        return Generator("boundary", power, label)
 
     @staticmethod
     def braid(index: int, power: int = 1) -> "Generator":
         return Generator("braid", power,
-                         index=checked_type(index, int, "braid index", WordError))
+                         checked_type(index, int, "braid index", WordError))
 
     def inverted(self) -> "Generator":
-        return Generator(self.kind, -self.power, self.curve, self.label, self.index)
-
-    def _same_letter(self, other: "Generator") -> bool:
-        return (self.kind, self.curve, self.label, self.index) == (
-            other.kind, other.curve, other.label, other.index
-        )
+        return Generator(self.kind, -self.power, self.target)
 
     def to_json(self) -> dict:
         if self.kind == "twist":
-            return {"curve": list(self.curve), "power": self.power}
-        if self.kind == "boundary":
-            return {"boundary": self.label, "power": self.power}
-        return {"braid": self.index, "power": self.power}
+            return {"curve": list(self.target), "power": self.power}
+        return {self.kind: self.target, "power": self.power}
 
 
 def _cancelled(generators) -> tuple:
@@ -82,11 +73,10 @@ def _cancelled(generators) -> tuple:
     for g in generators:
         if g.power == 0:
             continue
-        if gens and gens[-1]._same_letter(g):
-            merged = gens.pop()
-            total = merged.power + g.power
+        if gens and (gens[-1].kind, gens[-1].target) == (g.kind, g.target):
+            total = gens.pop().power + g.power
             if total:
-                gens.append(Generator(g.kind, total, g.curve, g.label, g.index))
+                gens.append(Generator(g.kind, total, g.target))
             continue
         gens.append(g)
     return tuple(gens)
@@ -122,17 +112,17 @@ class MappingClassWord:
         tri = self.tri
         checked_type(g.power, int, "power", WordError)
         if g.kind == "twist":
-            if g.curve is None or len(g.curve) != tri.edge_count:
+            if g.target is None or len(g.target) != tri.edge_count:
                 raise WordError("twist curve does not live on this triangulation")
         elif g.kind == "boundary":
-            if not isinstance(g.label, str) or g.label not in tri.base_edge_of:
-                raise WordError("unknown boundary label %r" % (g.label,))
+            if not isinstance(g.target, str) or g.target not in tri.base_edge_of:
+                raise WordError("unknown boundary label %r" % (g.target,))
         elif g.kind == "braid":
             n = tri.surface.puncture_count
             if n < 2:
                 raise WordError("braid generators need at least 2 punctures")
-            if not 1 <= g.index <= n - 1:
-                raise WordError("braid index %r out of range" % (g.index,))
+            if not 1 <= g.target <= n - 1:
+                raise WordError("braid index %r out of range" % (g.target,))
         else:
             raise WordError("unknown generator kind %r" % (g.kind,))
         return g
@@ -160,7 +150,7 @@ class MappingClassWord:
         if label not in self._splits:
             rest, k = [], 0
             for g in self.generators:
-                if g.kind == "boundary" and g.label == label:
+                if g.kind == "boundary" and g.target == label:
                     k += g.power
                 else:
                     rest.append(g)
@@ -184,9 +174,8 @@ class MappingClassWord:
         if self._encoding is None:
             parts = []
             for g in reversed(self.generators):
-                x = g.curve if g.kind == "twist" else (
-                    g.label if g.kind == "boundary" else g.index)
-                parts += engine.letter_parts(self.tri, g.kind, x, g.power)
+                parts += engine.letter_parts(self.tri, g.kind, g.target,
+                                             g.power)
             self._encoding = engine.compose(parts)
         return self._encoding
 
@@ -230,7 +219,7 @@ class MappingClassWord:
         perm = list(range(n))
         for g in reversed(self.generators):
             if g.kind == "braid" and g.power % 2:
-                j = g.index - 1
+                j = g.target - 1
                 perm[j], perm[j + 1] = perm[j + 1], perm[j]
         return tuple(perm)
 
@@ -240,21 +229,22 @@ class MappingClassWord:
     @staticmethod
     def from_json(tri: Triangulation, data, named_curves=None) -> "MappingClassWord":
         """The word of a JSON list of letter records: the one reader of
-        word records.  Raises WordError on anything malformed."""
+        word records.  ``named_curves`` maps names to weight tuples that
+        ``checked_curve`` has checked.  Raises WordError on anything
+        malformed."""
         gens = []
         for item in checked_type(data, list, "word", WordError):
             checked_type(item, dict, "generator record", WordError)
             power = item.get("power", 1)
             if "curve" in item:
-                # checked_curve has checked the weights
                 gens.append(Generator("twist", power,
-                                      curve=checked_curve(tri, item["curve"])))
+                                      checked_curve(tri, item["curve"])))
             elif "twist" in item:
                 table = named_curves or {}
                 name = item["twist"]
                 if not isinstance(name, str) or name not in table:
                     raise WordError("unknown named curve %r" % (name,))
-                gens.append(Generator.twist(table[name], power))
+                gens.append(Generator("twist", power, table[name]))
             elif "boundary" in item:
                 gens.append(Generator.boundary(item["boundary"], power))
             elif "braid" in item:

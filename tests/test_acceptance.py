@@ -14,8 +14,8 @@ from fdtc import curves, engine, foliation, topology
 from fdtc.curves import NormalCoordinates, enumerate_arcs, geometric_intersection
 from fdtc.mcg import Generator, MappingClassWord, acts_identically
 from fdtc.fdtc import (
+    _reduced_between,
     RationalInterval,
-    bounded_denominator_candidates,
     braid_fdtc,
     fdtc_exact,
     key_lemma_interval,
@@ -133,14 +133,14 @@ def test_criterion_05_interval_soundness():
                 if iv.is_point:
                     assert (iv.lo * N).denominator == 1
                 else:
-                    assert iv.width() == Fraction(1, N)
+                    assert iv.hi - iv.lo == Fraction(1, N)
     print("PASS criterion 5: key-lemma brackets sound, width 1/N "
           "(50 words x %d arcs x N<=10)" % len(arcs))
 
 
 def test_criterion_06_farey_oracle():
     """Bounded-denominator search agrees with brute force on 1000
-    random intervals; narrow windows are never ambiguous."""
+    random closed intervals; narrow windows are never ambiguous."""
     rng = random.Random(555)
 
     def brute(iv, D):
@@ -156,13 +156,11 @@ def test_criterion_06_farey_oracle():
     for _ in range(1000):
         a = Fraction(rng.randint(-100, 100), rng.randint(1, 30))
         b = a + Fraction(rng.randint(0, 60), rng.randint(1, 30))
-        if a == b:
-            iv = RationalInterval(a, b, True, True)
-        else:
-            iv = RationalInterval(a, b, bool(rng.getrandbits(1)),
-                                  bool(rng.getrandbits(1)))
+        iv = RationalInterval(a, b)
         D = rng.randint(1, 12)
-        assert bounded_denominator_candidates(iv, D) == brute(iv, D)
+        found = _reduced_between(a.numerator, a.denominator, b.numerator,
+                                 b.denominator, D)
+        assert sorted(Fraction(p, q) for p, q in found) == brute(iv, D)
 
     for _ in range(300):
         D = rng.randint(2, 12)
@@ -171,9 +169,8 @@ def test_criterion_06_farey_oracle():
         gap = Fraction(1, D * (D - 1))
         eps = gap * Fraction(rng.randint(1, 99), 100)
         lo = x - eps * Fraction(rng.randint(0, 100), 100)
-        iv = RationalInterval(lo, lo + eps, True, True)
-        val, err = unique_bounded_denominator(iv, D)
-        assert err is None and val == x, (iv.lo, iv.hi, D)
+        iv = RationalInterval(lo, lo + eps)
+        assert unique_bounded_denominator(iv, D) == x, (iv.lo, iv.hi, D)
     print("PASS criterion 6: Farey search matches brute force on 1000 "
           "intervals; narrow windows unambiguous")
 
@@ -254,7 +251,7 @@ def test_criterion_08_slope_model_oracle():
             m = MA if name == "a" else MB
             if p < 0:
                 e, m = e.inverted(), minv(m)
-            enc = e + enc
+            enc = engine.compose((e, enc))
             M = mmul(M, m)
         ia = NormalCoordinates(tri, enc.forward(TORUS_A))
         ib = NormalCoordinates(tri, enc.forward(TORUS_B))

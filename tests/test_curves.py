@@ -255,8 +255,8 @@ class TestGeometricIntersection:
         tri = disc3_tri
         p1 = engine.pair_curve_weights(tri, 1)
         p2 = engine.pair_curve_weights(tri, 2)
-        enc = engine.twist_encoding(tri, p1) + \
-            engine.twist_encoding(tri, p2, -1)
+        enc = engine.compose((engine.twist_encoding(tri, p1),
+                              engine.twist_encoding(tri, p2, -1)))
         x = NormalCoordinates(tri, enc.power(12).forward(p1))
         for v in tri.puncture_vertices:
             link = puncture_link_curve(tri, v)
@@ -379,8 +379,8 @@ class TestOverlayCap:
     def test_arcs_above_the_cap_rejected(self, torus_tri):
         # both sides with arc ends, heavy or light: no closed side
         gamma = enumerate_arcs(torus_tri, "S", 6)[0].coords.weights
-        enc = engine.twist_encoding(torus_tri, TORUS_A, 1) + \
-            engine.twist_encoding(torus_tri, TORUS_B, -1)
+        enc = engine.compose((engine.twist_encoding(torus_tri, TORUS_A, 1),
+                              engine.twist_encoding(torus_tri, TORUS_B, -1)))
         for k in (0, 12):
             a = NormalCoordinates(torus_tri, enc.power(k).forward(gamma))
             b = NormalCoordinates(torus_tri, enc.power(k + 1).forward(gamma))
@@ -493,8 +493,7 @@ class TestLapSkipping:
     def test_matches_plain_walk(self, fixture, C, letters, request):
         tri = request.getfixturevalue(fixture)
         gamma = _first_probe_arc(tri, C)
-        letter = st.builds(lambda g, p: Generator(g.kind, p, g.curve, g.label,
-                                                  g.index),
+        letter = st.builds(lambda g, p: Generator(g.kind, p, g.target),
                            st.sampled_from(letters),
                            st.sampled_from([-2, -1, 1, 2]))
         shift = st.builds(Generator.boundary,
@@ -511,7 +510,7 @@ class TestLapSkipping:
             w = MappingClassWord(tri, body + [boundary])
             image = w.orbit_arc(gamma, N)
             powers = [m]
-            if not body and boundary.label == C:
+            if not body and boundary.target == C:
                 powers.append(boundary.power * N)
             for n in powers:
                 twisted = _boundary_power_arc(gamma, C, n)

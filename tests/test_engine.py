@@ -76,17 +76,15 @@ class TestTwistEncoding:
         # T_a T_b T_a = T_b T_a T_b when i(a, b) = 1
         ta = engine.twist_encoding(torus_tri, TORUS_A)
         tb = engine.twist_encoding(torus_tri, TORUS_B)
-        lhs = ta + tb + ta
-        rhs = tb + ta + tb
+        lhs = engine.compose((ta, tb, ta))
+        rhs = engine.compose((tb, ta, tb))
         assert _equal_on_probes(torus_tri, lhs, rhs)
 
     def test_chain_relation(self, torus_tri):
         # (T_a T_b)^6 = boundary twist on the one-holed torus
         ta = engine.twist_encoding(torus_tri, TORUS_A)
         tb = engine.twist_encoding(torus_tri, TORUS_B)
-        word = engine.Encoding(())
-        for _ in range(6):
-            word = word + tb + ta  # rightmost acts first
+        word = engine.compose((tb, ta) * 6)  # rightmost acts first
         bp = boundary_parallel_curve(torus_tri, "S").weights
         tboundary = engine.twist_encoding(torus_tri, bp)
         assert _equal_on_probes(torus_tri, word, tboundary, bound=7)
@@ -142,7 +140,8 @@ class TestBoundaryTwistDualRoute:
             tri, boundary_parallel_curve(tri, "C1").weights)
         e2 = engine.twist_encoding(
             tri, boundary_parallel_curve(tri, "C2").weights)
-        assert _equal_on_probes(tri, e1 + e2, e2 + e1, bound=7)
+        assert _equal_on_probes(tri, engine.compose((e1, e2)),
+                                engine.compose((e2, e1)), bound=7)
 
 
 def _moves_some(tri, enc, bound):
@@ -158,7 +157,8 @@ class TestHalfTwists:
         pair = engine.twist_encoding(
             disc2_tri, engine.pair_curve_weights(disc2_tri, 1))
         assert _moves_some(disc2_tri, pair, 8)
-        assert _equal_on_probes(disc2_tri, sigma + sigma, pair, bound=8)
+        assert _equal_on_probes(disc2_tri, engine.compose((sigma, sigma)),
+                                pair, bound=8)
 
     def test_braid_relation(self, disc3_tri):
         s1 = engine.half_twist_encoding(disc3_tri, 1)
@@ -167,16 +167,14 @@ class TestHalfTwists:
             pair = engine.twist_encoding(
                 disc3_tri, engine.pair_curve_weights(disc3_tri, i))
             assert _moves_some(disc3_tri, pair, 8)
-        assert _equal_on_probes(disc3_tri, s1 + s2 + s1, s2 + s1 + s2,
-                                bound=8)
+        assert _equal_on_probes(disc3_tri, engine.compose((s1, s2, s1)),
+                                engine.compose((s2, s1, s2)), bound=8)
 
     def test_fundamental_relation(self, disc3_tri):
         # (sigma1 sigma2)^3 = boundary twist on the 3-punctured disc
         s1 = engine.half_twist_encoding(disc3_tri, 1)
         s2 = engine.half_twist_encoding(disc3_tri, 2)
-        word = engine.Encoding(())
-        for _ in range(3):
-            word = word + s2 + s1
+        word = engine.compose((s2, s1) * 3)
         bp = boundary_parallel_curve(disc3_tri, "C").weights
         tb = engine.twist_encoding(disc3_tri, bp)
         assert _moves_some(disc3_tri, tb, 8)
@@ -234,23 +232,26 @@ class TestBraidGenerators:
             assert s.forward(cw) == cw
             pair = engine.twist_encoding(tri, cw)
             assert _moves_some(tri, pair, bound), i
-            assert _equal_on_probes(tri, s + s, pair, bound), i
+            assert _equal_on_probes(tri, engine.compose((s, s)), pair,
+                                    bound), i
 
     def test_relations(self, braid_surface):
         tri, sigmas, bound = braid_surface
         for i, a in enumerate(sigmas):
             for j, b in enumerate(sigmas[i + 1:], i + 1):
                 if j == i + 1:
-                    assert _equal_on_probes(tri, a + b + a, b + a + b, bound)
+                    assert _equal_on_probes(tri, engine.compose((a, b, a)),
+                                            engine.compose((b, a, b)), bound)
                 else:
-                    assert _equal_on_probes(tri, a + b, b + a, bound)
+                    assert _equal_on_probes(tri, engine.compose((a, b)),
+                                            engine.compose((b, a)), bound)
 
     @pytest.mark.parametrize("braid_surface", BRAID_DISCS, ids=_surface_id,
                              indirect=True)
     def test_full_twist_is_boundary_drag(self, braid_surface):
         # on a disc (sigma_1 ... sigma_{n-1})^n is the boundary twist
         tri, sigmas, bound = braid_surface
-        full = sum(sigmas, engine.Encoding(())).power(len(sigmas) + 1)
+        full = engine.compose(sigmas).power(len(sigmas) + 1)
         probes = enumerate_arcs(tri, "C", bound)
         assert probes
         for g in probes:
@@ -273,7 +274,8 @@ class TestTwistHandedness:
         h = engine.twist_encoding(tri, GENUS3_LINK)
         tha = engine.twist_encoding(tri, h.forward(GENUS3_DEEP))
         assert _moves_some(tri, tha, 8)
-        assert _equal_on_probes(tri, h.inverted() + ta + h, tha, bound=8)
+        assert _equal_on_probes(tri, engine.compose((h.inverted(), ta, h)),
+                                tha, bound=8)
 
 
 def _no_probe_search(*args, **kwargs):
@@ -338,9 +340,9 @@ class TestBoundaryRotation:
         assert all(_moves_some(tri, t, 12) for t in twists[4:])
         rng = random.Random(3)
         for _ in range(20):
-            word = sum(rng.choices(twists, k=rng.randint(1, 6)),
-                       engine.Encoding(()))
-            assert _equal_on_probes(tri, tb + word, word + tb, bound=12)
+            word = engine.compose(rng.choices(twists, k=rng.randint(1, 6)))
+            assert _equal_on_probes(tri, engine.compose((tb, word)),
+                                    engine.compose((word, tb)), bound=12)
 
     @pytest.mark.parametrize("spec", [(1, ("S",), 0), (1, ("C1", "C2"), 0),
                                       (0, ("C",), 1), (0, ("C",), 3),
@@ -482,7 +484,8 @@ def _letters(tri, fixture):
 def _period(perm):
     p, k = perm, 1
     while p is not None:
-        p, k = (engine.Encoding((), p) + engine.Encoding((), perm)).perm, k + 1
+        p, k = engine.compose((engine.Encoding((), p),
+                               engine.Encoding((), perm))).perm, k + 1
     return k
 
 
@@ -527,13 +530,14 @@ class TestEncodingAlgebra:
         word = st.lists(st.sampled_from(range(len(letters))), max_size=4)
 
         def encoding(ids):
-            return sum((letters[i] for i in ids), engine.Encoding(()))
+            return engine.compose([letters[i] for i in ids])
 
         @settings(max_examples=200, deadline=None)
         @given(word, word, st.integers(-7, 7), st.sampled_from(probes))
         def check(ids1, ids2, k, w):
             e1, e2 = encoding(ids1), encoding(ids2)
-            assert (e1 + e2).forward(w) == e2.forward(e1.forward(w))
+            assert engine.compose((e1, e2)).forward(w) == \
+                e2.forward(e1.forward(w))
             assert e1.inverted().forward(e1.forward(w)) == w
             assert e1.forward(e1.inverted().forward(w)) == w
             assert e1.power(k).forward(w) == _replay(e1, k, w)
@@ -558,7 +562,7 @@ def _random_words(tri, fixture):
     gens = _generators(tri, fixture)
     letter = st.tuples(st.sampled_from(gens), st.integers(-3, 3))
     return st.lists(letter, max_size=5).map(lambda word: MappingClassWord(
-        tri, [Generator(g.kind, p, g.curve, g.label, g.index)
+        tri, [Generator(g.kind, p, g.target)
               for g, p in word]))
 
 
@@ -612,10 +616,10 @@ def _fold(encodings):
 def _letter_encoding(tri, g):
     """The letter's own encoding, compiled alone."""
     if g.kind == "twist":
-        return engine.twist_encoding(tri, g.curve, g.power)
+        return engine.twist_encoding(tri, g.target, g.power)
     if g.kind == "boundary":
-        return engine.boundary_twist_encoding(tri, g.label, g.power)
-    return engine.half_twist_encoding(tri, g.index, g.power)
+        return engine.boundary_twist_encoding(tri, g.target, g.power)
+    return engine.half_twist_encoding(tri, g.target, g.power)
 
 
 class TestReplayKernel:
@@ -744,8 +748,7 @@ class TestTwistRuns:
             vectors = []
             for m in (-40, -7, -1, 0, 3, 25):
                 word = MappingClassWord(tri, [Generator.twist(x, m)] + [
-                    Generator(g.kind, rng.randint(-2, 2), g.curve, g.label,
-                              g.index)
+                    Generator(g.kind, rng.randint(-2, 2), g.target)
                     for g in rng.sample(gens, min(2, len(gens)))])
                 vectors += [conj.forward(word.encoding().forward(w))
                             for w in starts]

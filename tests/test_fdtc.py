@@ -1,14 +1,18 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdtc.errors import ComputationError, TriangulationError, WordError
+from fdtc.errors import (
+    ComputationError, InconsistentDataError, TriangulationError, WordError,
+)
 from fdtc.surface import SurfaceSpec, denominator_bound, standard_triangulation
 from fdtc import curves, engine
 from fdtc import fdtc as fdtc_mod
+from fdtc.cli import EXIT_COMPUTATION, main
 from fdtc.curves import (
     Ordering, boundary_drag, compare_at_base, enumerate_arcs,
 )
@@ -18,9 +22,9 @@ from fdtc.fdtc import (
     _boundary_power_arc,
     _bracket_from_first,
     _first_probe_arc,
+    _reduced_between,
     FDTCResult,
     RationalInterval,
-    bounded_denominator_candidates,
     braid_fdtc,
     fdtc_exact,
     key_lemma_interval,
@@ -51,25 +55,28 @@ def _brute_candidates(interval, D):
     return sorted(out)
 
 
+def _candidates(interval, D):
+    """The rationals ``_reduced_between`` finds in the closed interval,
+    sorted."""
+    lo, hi = interval.lo, interval.hi
+    return sorted(Fraction(p, q) for p, q in _reduced_between(
+        lo.numerator, lo.denominator, hi.numerator, hi.denominator, D))
+
+
 class TestFareySearch:
     def test_matches_brute_force(self):
         rng = random.Random(23)
         for _ in range(300):
             a = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
             b = a + Fraction(rng.randint(0, 40), rng.randint(1, 20))
-            if a == b:
-                iv = RationalInterval(a, b, True, True)
-            else:
-                iv = RationalInterval(a, b, bool(rng.getrandbits(1)),
-                                      bool(rng.getrandbits(1)))
+            iv = RationalInterval(a, b)
             D = rng.randint(1, 12)
-            assert bounded_denominator_candidates(iv, D) == \
-                _brute_candidates(iv, D)
+            assert _candidates(iv, D) == _brute_candidates(iv, D)
 
     def test_point_interval(self):
-        iv = RationalInterval(Fraction(1, 6), Fraction(1, 6), True, True)
-        assert bounded_denominator_candidates(iv, 6) == [Fraction(1, 6)]
-        assert bounded_denominator_candidates(iv, 5) == []
+        iv = RationalInterval(Fraction(1, 6), Fraction(1, 6))
+        assert _candidates(iv, 6) == [Fraction(1, 6)]
+        assert _candidates(iv, 5) == []
 
     def test_unique_narrow_window(self):
         rng = random.Random(31)
@@ -80,9 +87,8 @@ class TestFareySearch:
             x = Fraction(p, q)
             eps = Fraction(1, 2 * D * (D - 1) + 1)
             lo = x - eps * Fraction(rng.randint(0, 100), 100)
-            iv = RationalInterval(lo, lo + eps, True, True)
-            val, err = unique_bounded_denominator(iv, D)
-            assert err is None and val == x
+            iv = RationalInterval(lo, lo + eps)
+            assert unique_bounded_denominator(iv, D) == x
 
     @pytest.mark.parametrize("D", [6, 14, 26])
     def test_brackets_far_from_zero(self, D):
@@ -98,9 +104,9 @@ class TestFareySearch:
             for M in (sign * 10 ** 12 + rng.randint(-10 ** 6, 10 ** 6),
                       (x * N).__floor__()):
                 iv = RationalInterval(Fraction(M, N), Fraction(M + 1, N))
-                assert bounded_denominator_candidates(iv, D) == \
-                    _brute_candidates(iv, D)
-            assert bounded_denominator_candidates(iv, D) == [x]
+                assert _candidates(iv, D) == _brute_candidates(iv, D)
+            assert _candidates(iv, D) == [x]
+            assert unique_bounded_denominator(iv, D) == x
 
     @pytest.mark.parametrize("D", [14, 26])
     def test_matches_brute_force_high_genus(self, D):
@@ -108,35 +114,33 @@ class TestFareySearch:
         for _ in range(200):
             a = Fraction(rng.randint(-60, 60), rng.randint(1, 40))
             b = a + Fraction(rng.randint(1, 10), rng.randint(1, 40))
-            iv = RationalInterval(a, b, bool(rng.getrandbits(1)),
-                                  bool(rng.getrandbits(1)))
-            assert bounded_denominator_candidates(iv, D) == \
-                _brute_candidates(iv, D)
+            iv = RationalInterval(a, b)
+            assert _candidates(iv, D) == _brute_candidates(iv, D)
 
     def test_negative_ends_on_candidates(self):
-        """Both ends are themselves rationals of denominator at most D:
-        each is a candidate exactly when its end is closed."""
+        """Both ends are themselves rationals of denominator at most D,
+        and both are candidates: every interval is closed."""
         rng = random.Random(41)
         for _ in range(300):
             D, n = rng.randint(1, 26), rng.randint(2, 200)
             a, b = sorted(Fraction(-n * q + rng.randint(0, 2 * q), q)
                           for q in (rng.randint(1, D), rng.randint(1, D)))
-            closed = (True, True) if a == b else \
-                (bool(rng.getrandbits(1)), bool(rng.getrandbits(1)))
-            iv = RationalInterval(a, b, *closed)
-            found = bounded_denominator_candidates(iv, D)
+            iv = RationalInterval(a, b)
+            found = _candidates(iv, D)
             assert found == _brute_candidates(iv, D)
-            assert (a in found, b in found) == closed
+            assert a in found and b in found
 
     def test_ambiguity_reported(self):
-        iv = RationalInterval(Fraction(0), Fraction(1), True, True)
-        val, err = unique_bounded_denominator(iv, 3)
-        assert val is None and err["status"] == "ambiguous"
+        iv = RationalInterval(Fraction(0), Fraction(1))
+        with pytest.raises(InconsistentDataError, match="^more than one "
+                           "admissible rational in the bracketing interval$"):
+            unique_bounded_denominator(iv, 3)
 
     def test_empty_reported(self):
-        iv = RationalInterval(Fraction(1, 7), Fraction(1, 7), True, True)
-        val, err = unique_bounded_denominator(iv, 3)
-        assert val is None and err["status"] == "empty"
+        iv = RationalInterval(Fraction(1, 7), Fraction(1, 7))
+        with pytest.raises(InconsistentDataError, match="^no admissible "
+                           "rational in the bracketing interval$"):
+            unique_bounded_denominator(iv, 3)
 
 
 def _no_probe_search(*args, **kwargs):
@@ -227,7 +231,7 @@ class TestKeyLemmaInterval:
         for N in range(1, 8):
             iv = key_lemma_interval(w, "S", gamma, N)
             assert iv.contains(Fraction(1, 6))
-            assert iv.is_point or iv.width() == Fraction(1, N)
+            assert iv.is_point or iv.hi - iv.lo == Fraction(1, N)
 
     def test_periodicity_collapses_to_point(self, torus_tri):
         w = MappingClassWord(torus_tri, [Generator.boundary("S", 2)])
@@ -242,7 +246,7 @@ class TestKeyLemmaInterval:
         assert len(ivs) == 6
         for (i, iv) in enumerate(ivs):
             assert iv.contains(Fraction(1, 6))
-            assert iv.is_point or iv.width() == Fraction(1, i + 1)
+            assert iv.is_point or iv.hi - iv.lo == Fraction(1, i + 1)
 
     def test_translation_estimate_walks_orbit_once(self, torus_tri,
                                                    monkeypatch):
@@ -284,7 +288,7 @@ class TestKeyLemmaInterval:
         @settings(max_examples=50, deadline=None)
         @given(words, st.integers(1, 12))
         def check(word, N_max):
-            gens = [Generator(g.kind, p, g.curve, g.label, g.index)
+            gens = [Generator(g.kind, p, g.target)
                     for (g, p) in word]
             swept = translation_estimate(MappingClassWord(tri, gens), C, N_max)
             assert swept == [key_lemma_interval(MappingClassWord(tri, gens),
@@ -329,7 +333,7 @@ class TestBoundaryShift:
                 else:
                     g = rng.choice(letters)
                     gens.append(Generator(g.kind, g.power * rng.choice(
-                        [1, -1, 2]), g.curve, g.label, g.index))
+                        [1, -1, 2]), g.target))
             w = MappingClassWord(tri, gens)
             N = rng.randint(1, 4)
             iv = key_lemma_interval(w, C, gamma, N)
@@ -372,7 +376,7 @@ def _bracketed_at_N(w, C):
     if iv.is_point:
         value, provenance = iv.lo, "PeriodicityCorollary"
     else:
-        value, provenance = unique_bounded_denominator(iv, D)[0], "ExactTheorem"
+        value, provenance = unique_bounded_denominator(iv, D), "ExactTheorem"
     return FDTCResult(value, iv, provenance, N=N, M=int(iv.lo * N), D=D)
 
 
@@ -411,8 +415,8 @@ class TestFirstBracket:
                         min_size=1, max_size=6), shifts)
         def check(word, shift):
             gens = [Generator.boundary(C, shift)] if shift else []
-            gens += [Generator(g.kind, p * g.power, g.curve, g.label,
-                               g.index) for (g, p) in word]
+            gens += [Generator(g.kind, p * g.power, g.target)
+                     for (g, p) in word]
             w = MappingClassWord(tri, gens)
             assert puncture_permutation_order(w) == 1
             assert coefficient(w, C) == _bracketed_at_N(w, C)
@@ -450,7 +454,7 @@ class TestFirstBracket:
         D, N = 10, 91
         assert _bracket_from_first(1, 2, 11, D, N) is None
         alone = RationalInterval(Fraction(7, 50), Fraction(8, 50))
-        assert bounded_denominator_candidates(alone, D) == [Fraction(1, 7)]
+        assert _candidates(alone, D) == [Fraction(1, 7)]
         assert _bracket_from_first(7, 8, 50, D, N) is None
 
     @pytest.mark.parametrize("letters,replays", [
@@ -472,6 +476,29 @@ class TestFirstBracket:
         w = MappingClassWord(torus_tri, letters)
         fdtc_exact(w, "S")
         assert applied.count(w.encoding()) == replays
+
+    def test_bracket_without_admissible_rational(self, torus_tri,
+                                                 monkeypatch, capsys):
+        # T_a T_b: the bracket [1/7, 2/7] holds 1/6, 1/5 and 1/4, so the
+        # bracket at N = 31 decides; one that holds no rational of
+        # denominator at most D = 6 is an error, and the CLI reports it
+        # as a computation error (exit 3) without a traceback
+        monkeypatch.setattr(fdtc_mod, "key_lemma_interval",
+                            lambda w, C, gamma, N: RationalInterval(
+                                Fraction(1, 31), Fraction(2, 31)))
+        message = "no admissible rational in the bracketing interval"
+        w = MappingClassWord(torus_tri, [Generator.twist(TORUS_A),
+                                         Generator.twist(TORUS_B)])
+        with pytest.raises(InconsistentDataError, match="^%s$" % message):
+            fdtc_exact(w, "S")
+        problem = json.dumps({
+            "surface": {"genus": 1, "boundary": ["S"]},
+            "words": {"w": [{"curve": list(TORUS_A)},
+                            {"curve": list(TORUS_B)}]}})
+        assert main(["fdtc", "exact", problem, "--word", "w"]) == \
+            EXIT_COMPUTATION
+        out, err = capsys.readouterr()
+        assert out == "" and err == "computation error: %s\n" % message
 
 
 class TestGroupLaws:
@@ -499,7 +526,7 @@ class TestGroupLaws:
                                    st.sampled_from((1, -1))),
                          min_size=1, max_size=3).map(
             lambda word: MappingClassWord(tri, [
-                Generator(g.kind, s * g.power, g.curve, g.label, g.index)
+                Generator(g.kind, s * g.power, g.target)
                 for (g, s) in word]))
 
         @settings(max_examples=25, deadline=None)

@@ -111,8 +111,8 @@ class TestLettersCheckedOnce:
         inverse = [g.inverted() for g in reversed(gens)]
         for word, want in zip(derived, [
                 gens + u.generators, inverse, gens * 3, inverse * 2, (),
-                [g for g in gens if g.label != "C1"],
-                [g for g in gens if g.label != "C2"]]):
+                [g for g in gens if g.target != "C1"],
+                [g for g in gens if g.target != "C2"]]):
             assert word.tri is tri
             assert word.generators == MappingClassWord(tri, want).generators
 
@@ -277,7 +277,7 @@ class TestJson:
         data = [{"twist": "a", "power": 1}, {"braid": None}]
         w = MappingClassWord.from_json(torus_tri, [{"twist": "a"}],
                                        {"a": TORUS_A})
-        assert w.generators[0].curve == TORUS_A
+        assert w.generators[0].target == TORUS_A
         with pytest.raises(WordError):
             MappingClassWord.from_json(torus_tri, [{"twist": "z"}], {})
 

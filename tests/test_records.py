@@ -39,8 +39,7 @@ def _cases(torus_tri):
         (SurfaceSpec, (1, ("S",)), {"puncture_count": 0}, ("genus", 2)),
         (DenominatorBound, (6,), {"degenerate": False}, ("value", 7)),
         (ArcClass, (arcs[0].coords, ("S", 0)), {}, ("coords", other)),
-        (RationalInterval, (F(1, 3), F(1, 2)),
-         {"lo_closed": True, "hi_closed": True}, ("hi_closed", False)),
+        (RationalInterval, (F(1, 3), F(1, 2)), {}, ("hi", F(2, 3))),
         (FDTCResult,
          (F(1, 6), RationalInterval(F(1, 7), F(1, 5)), "ExactTheorem"),
          {"N": None, "M": None, "D": None},
@@ -57,8 +56,7 @@ def _cases(torus_tri):
          ("c_circle_presence", True)),
         (BoundReport, (F(0), F(3), "cap"), {"assumptions": ()},
          ("upper", F(4))),
-        (Generator, ("twist", 2, TORUS_A), {"label": None, "index": None},
-         ("curve", TORUS_B)),
+        (Generator, ("twist", 2, TORUS_A), {}, ("target", TORUS_B)),
         (CoefficientAssignment, ({"S": F(3, 2)},),
          {"mode": "monodromy", "connected_boundary": False},
          ("mode", "braid")),
@@ -168,9 +166,8 @@ class TestRecords:
             "%s=%r" % (k, getattr(r, k)) for k in cls.__slots__))
 
     def test_repr_as_written(self):
-        assert repr(RationalInterval(F(1, 3), F(1, 2), hi_closed=False)) == (
-            "RationalInterval(lo=Fraction(1, 3), hi=Fraction(1, 2), "
-            "lo_closed=True, hi_closed=False)")
+        assert repr(RationalInterval(F(1, 3), F(1, 2))) == (
+            "RationalInterval(lo=Fraction(1, 3), hi=Fraction(1, 2))")
         assert repr(Verdict("Inconclusive", "x", ("h",))) == (
             "Verdict(conclusion='Inconclusive', criterion='x', "
             "hypotheses=('h',))")
@@ -222,14 +219,15 @@ class TestChecks:
     def test_interval_order(self):
         with pytest.raises(InconsistentDataError, match="out of order"):
             RationalInterval(F(1), F(0))
-        with pytest.raises(InconsistentDataError, match="must be closed"):
-            RationalInterval(F(1), F(1), lo_closed=False)
         assert RationalInterval(F(1), F(1)).is_point
+        # every interval is closed, and its record says so
+        assert RationalInterval(F(1, 3), F(1, 2)).to_json() == {
+            "lo": "1/3", "hi": "1/2", "lo_closed": True, "hi_closed": True}
 
     def test_result_inside_its_interval(self):
-        iv = RationalInterval(F(0), F(1), hi_closed=False)
+        iv = RationalInterval(F(0), F(1))
         with pytest.raises(InconsistentDataError, match="outside"):
-            FDTCResult(F(1), iv, "ExactTheorem")
+            FDTCResult(F(2), iv, "ExactTheorem")
         assert FDTCResult(None, iv, "ExactTheorem").interval == iv
         assert FDTCResult(F(2), None, "ExactTheorem").value == 2
 
